@@ -5,10 +5,10 @@
 //! the store is on disk, a fresh process loads it and a user asks for the
 //! difference of two runs.  On a cold-loaded service that first `diff` pays
 //! for the Algorithm-3 preparation of both runs; after
-//! [`DiffService::warm_start`] (which replays every persisted run through
-//! `prepare`, e.g. in the background before traffic arrives) the same query
-//! only pays for the pair DP, answering its preparation lookups from the
-//! shared cache.  Timings reported per workload:
+//! [`DiffService::warm_start`] (which prepares every persisted run once,
+//! e.g. in the background before traffic arrives, and memoises the result
+//! on the run) the same query only pays for the pair DP.  Timings reported
+//! per workload:
 //!
 //! * **save** — `WorkflowStore::save_to_dir` of the generated store,
 //! * **load** — `WorkflowStore::load_from_dir` (full validation),
@@ -18,7 +18,7 @@
 //!   the first query ever to touch those runs,
 //! * **warm start** — the `warm_start` pass itself on a fresh load,
 //! * **warm first diffs** — the same burst after the warm start
-//!   (preparation already cached; only the pair DP remains).
+//!   (preparation already memoised; only the pair DP remains).
 //!
 //! Both loaded services then compute the full `diff_all_pairs` matrix,
 //! which is compared entry-by-entry against the pre-save in-memory store;
@@ -49,8 +49,8 @@ pub struct WarmStartRow {
     pub warm_start_ms: f64,
     /// The same burst after the warm start (milliseconds).
     pub warm_diff_ms: f64,
-    /// Cache hits observed during the warm burst (preparation answered from
-    /// the cache).
+    /// Cache hits observed during the warm burst (subtree pairs the burst's
+    /// DPs share through the cache).
     pub warm_diff_hits: u64,
     /// Whether both loaded services reproduced the in-memory distances over
     /// the full all-pairs matrix.
@@ -120,8 +120,8 @@ pub fn run(config: &BatchConfig, dir: &Path) -> WarmStartRow {
     }
     let cold_service = cold_service.expect("at least one restart ran");
 
-    // Warm restarts: load, prime the cache, then the same queries only pay
-    // for the pair DP.
+    // Warm restarts: load, prepare every run, then the same queries only
+    // pay for the pair DP.
     let mut warm_start_ms = f64::INFINITY;
     let mut warm_diff_ms = f64::INFINITY;
     let mut warm_diff_hits = 0;
@@ -207,7 +207,7 @@ mod tests {
         assert!(row.distances_match, "persisted distances must equal the in-memory store");
         assert!(row.save_ms > 0.0 && row.load_ms > 0.0);
         assert!(row.cold_diff_ms > 0.0 && row.warm_diff_ms > 0.0);
-        assert!(row.warm_diff_hits > 0, "the warm first diff must answer preparation from cache");
+        assert!(row.warm_diff_hits > 0, "the warm burst's pair DPs must share subtree pairs");
         let text = render(&row);
         assert!(text.contains("warm_start"));
         assert!(text.contains("yes"));

@@ -18,7 +18,10 @@
 //! the [`DiffCache`] trait.  The default implementation is
 //! [`ShardedDiffCache`]: a fixed number of `parking_lot::RwLock`-protected
 //! shards with a per-shard capacity bound, FIFO eviction and atomic hit/miss/
-//! eviction counters.
+//! eviction counters.  Fingerprints are already well-mixed hashes, so the
+//! shard and the in-shard hash of a key are both folded from its fingerprint
+//! bits rather than rehashed; a per-cache random seed enters the fold, so
+//! keys cannot be crafted offline to pile into one bucket chain.
 //!
 //! # `DiffCache` contract
 //!
@@ -41,7 +44,9 @@
 
 use crate::deletion::DeletionEntry;
 use parking_lot::RwLock;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
@@ -115,23 +120,184 @@ pub trait DiffCache: Send + Sync {
     fn stats(&self) -> CacheStats;
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Deletion(DeletionKey),
-    Pair(PairKey),
+/// A fingerprint as two `u64` words: the same bits at 8-byte alignment,
+/// which keeps the map entries below dense.
+type Words = [u64; 2];
+
+fn words(fp: Fingerprint) -> Words {
+    [fp.0 as u64, (fp.0 >> 64) as u64]
 }
 
-#[derive(Clone)]
-enum Value {
-    Deletion(Arc<DeletionEntry>),
-    Pair(f64),
+/// The stored form of a [`PairKey`] (56 bytes; 64 with its cost).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PairSlot {
+    left: Words,
+    right: Words,
+    spec: Words,
+    cost_model: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, Value>,
+impl From<&PairKey> for PairSlot {
+    fn from(k: &PairKey) -> Self {
+        PairSlot {
+            left: words(k.left),
+            right: words(k.right),
+            spec: words(k.spec),
+            cost_model: k.cost_model,
+        }
+    }
+}
+
+/// The stored form of a [`DeletionKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DeletionSlot {
+    subtree: Words,
+    cost_model: u64,
+}
+
+impl From<&DeletionKey> for DeletionSlot {
+    fn from(k: &DeletionKey) -> Self {
+        DeletionSlot { subtree: words(k.subtree), cost_model: k.cost_model }
+    }
+}
+
+/// One multiply-xorshift round over a slot's folded words and the cache's
+/// seed, so every output bit depends on every input word.
+fn mix(folded: u64, seed: u64) -> u64 {
+    let x = folded ^ seed;
+    let mixed = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+    mixed ^ (mixed >> 32)
+}
+
+impl PairSlot {
+    /// The key's fingerprint words folded into one (see [`mix`]).
+    fn fold(&self) -> u64 {
+        let word = |w: Words| w[0] ^ w[1];
+        // Rotating the sides apart keeps `(a, b)` and `(b, a)` distinct.
+        word(self.left)
+            ^ word(self.right).rotate_left(32)
+            ^ word(self.spec).rotate_left(16)
+            ^ self.cost_model
+            ^ 0x9e37_79b9_7f4a_7c15
+    }
+}
+
+impl DeletionSlot {
+    /// The key's fingerprint words folded into one (see [`mix`]).
+    fn fold(&self) -> u64 {
+        self.subtree[0] ^ self.subtree[1] ^ self.cost_model
+    }
+}
+
+impl Hash for PairSlot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fold());
+    }
+}
+
+impl Hash for DeletionSlot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fold());
+    }
+}
+
+/// The in-shard hasher: [`mix`]es a slot's `fold` with the cache's seed.
+struct FoldHasher {
+    seed: u64,
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached from the slots' `Hash`; fold anything
+        // else in FNV-1a style so the hasher stays total.
+        for &b in bytes {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, folded: u64) {
+        self.hash = mix(folded, self.seed);
+    }
+}
+
+/// Builds [`FoldHasher`]s under one cache's seed.
+#[derive(Clone, Copy)]
+struct FoldState {
+    seed: u64,
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { seed: self.seed, hash: 0 }
+    }
+}
+
+type FoldMap<K, V> = HashMap<K, V, FoldState>;
+
+/// An entry in a shard's FIFO eviction order.
+#[derive(Clone, Copy)]
+enum Slot {
+    Pair(PairSlot),
+    Deletion(DeletionSlot),
+}
+
+struct ShardState {
+    pairs: FoldMap<PairSlot, f64>,
+    deletions: FoldMap<DeletionSlot, Arc<DeletionEntry>>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<Key>,
+    order: VecDeque<Slot>,
+}
+
+impl ShardState {
+    fn new(hasher: FoldState) -> Self {
+        ShardState {
+            pairs: HashMap::with_hasher(hasher),
+            deletions: HashMap::with_hasher(hasher),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pairs.len() + self.deletions.len()
+    }
+}
+
+/// One shard: its lock, its map headers and its counters share one aligned
+/// block, so a lookup only writes cache lines its own lock acquisition
+/// already owns (a cache-wide counter would bounce between every
+/// differencing thread on every lookup).
+#[repr(align(128))]
+struct Shard {
+    state: RwLock<ShardState>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    insertions: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl Shard {
+    fn new(hasher: FoldState) -> Self {
+        Shard {
+            state: RwLock::new(ShardState::new(hasher)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            insertions: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn count<T>(&self, found: Option<T>) -> Option<T> {
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
 }
 
 /// The default [`DiffCache`]: a sharded, capacity-bounded, FIFO-evicting map.
@@ -140,12 +306,9 @@ struct Shard {
 /// default of one million entries the cache tops out at a few hundred MiB on
 /// pathological workloads and far less on realistic ones.
 pub struct ShardedDiffCache {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<Shard>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    hasher: FoldState,
 }
 
 const SHARD_COUNT: usize = 16;
@@ -154,48 +317,48 @@ impl ShardedDiffCache {
     /// Creates a cache bounded to roughly `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity_per_shard = capacity.div_ceil(SHARD_COUNT).max(1);
+        let hasher = FoldState { seed: RandomState::new().hash_one(SHARD_COUNT) };
         ShardedDiffCache {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..SHARD_COUNT).map(|_| Shard::new(hasher)).collect(),
             capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hasher,
         }
     }
 
-    fn shard_of(&self, key: &Key) -> &RwLock<Shard> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARD_COUNT]
+    fn shard(&self, fold: u64) -> &Shard {
+        // The maps use the low bits for buckets and the top seven for their
+        // control bytes; the shard takes bits from neither.
+        &self.shards[(mix(fold, self.hasher.seed) >> 32) as usize % SHARD_COUNT]
     }
 
-    fn get(&self, key: &Key) -> Option<Value> {
-        let found = self.shard_of(key).read().map.get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: Key, value: Value) {
-        let shard = self.shard_of(&key);
-        let mut guard = shard.write();
-        if guard.map.insert(key.clone(), value).is_none() {
-            guard.order.push_back(key);
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-            while guard.map.len() > self.capacity_per_shard {
-                match guard.order.pop_front() {
-                    Some(oldest) => {
-                        guard.map.remove(&oldest);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
+    /// Stores a value under `slot`; `insert` puts it into the right map and
+    /// reports whether the key is new.  New keys join the FIFO order, and
+    /// the oldest entries are evicted past the shard's capacity.
+    fn put(&self, fold: u64, slot: Slot, insert: impl FnOnce(&mut ShardState) -> bool) {
+        let shard = self.shard(fold);
+        let mut state = shard.state.write();
+        if !insert(&mut state) {
+            return;
+        }
+        state.order.push_back(slot);
+        shard.insertions.fetch_add(1, Ordering::Relaxed);
+        while state.len() > self.capacity_per_shard {
+            match state.order.pop_front() {
+                Some(Slot::Pair(oldest)) => {
+                    state.pairs.remove(&oldest);
                 }
+                Some(Slot::Deletion(oldest)) => {
+                    state.deletions.remove(&oldest);
+                }
+                None => break,
             }
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Sums one counter over the shards.
+    fn total(&self, counter: impl Fn(&Shard) -> &AtomicU64) -> u64 {
+        self.shards.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -207,34 +370,38 @@ impl Default for ShardedDiffCache {
 
 impl DiffCache for ShardedDiffCache {
     fn get_deletion(&self, key: &DeletionKey) -> Option<Arc<DeletionEntry>> {
-        match self.get(&Key::Deletion(*key)) {
-            Some(Value::Deletion(entry)) => Some(entry),
-            _ => None,
-        }
+        let slot = DeletionSlot::from(key);
+        let shard = self.shard(slot.fold());
+        let found = shard.state.read().deletions.get(&slot).cloned();
+        shard.count(found)
     }
 
     fn put_deletion(&self, key: DeletionKey, entry: Arc<DeletionEntry>) {
-        self.put(Key::Deletion(key), Value::Deletion(entry));
+        let slot = DeletionSlot::from(&key);
+        self.put(slot.fold(), Slot::Deletion(slot), |state| {
+            state.deletions.insert(slot, entry).is_none()
+        });
     }
 
     fn get_pair(&self, key: &PairKey) -> Option<f64> {
-        match self.get(&Key::Pair(*key)) {
-            Some(Value::Pair(cost)) => Some(cost),
-            _ => None,
-        }
+        let slot = PairSlot::from(key);
+        let shard = self.shard(slot.fold());
+        let found = shard.state.read().pairs.get(&slot).copied();
+        shard.count(found)
     }
 
     fn put_pair(&self, key: PairKey, cost: f64) {
-        self.put(Key::Pair(key), Value::Pair(cost));
+        let slot = PairSlot::from(&key);
+        self.put(slot.fold(), Slot::Pair(slot), |state| state.pairs.insert(slot, cost).is_none());
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.read().map.len()).sum(),
+            hits: self.total(|s| &s.hits),
+            misses: self.total(|s| &s.misses),
+            insertions: self.total(|s| &s.insertions),
+            evictions: self.total(|s| &s.evictions),
+            entries: self.shards.iter().map(|s| s.state.read().len()).sum(),
         }
     }
 }

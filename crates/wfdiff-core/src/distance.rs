@@ -20,6 +20,16 @@
 //!   (Hungarian algorithm);
 //! * `L`/`L` pairs solve a minimum-cost **non-crossing** matching over their
 //!   iterations (sequence-alignment DP), since iterations are ordered.
+//!
+//! Two kernels implement the recursion.  The **cost-only kernel** behind
+//! [`WorkflowDiff::distance_prepared`] keeps nothing but the running sums
+//! and answers subtree pairs from the shared [`DiffCache`]; it serves every
+//! distance query.  The **mapping kernel** behind
+//! [`WorkflowDiff::diff_prepared`] also records how each pair's children
+//! matched, so the mapping can be reconstructed; it serves diffs, sessions
+//! and edit scripts, and (uncached, via [`WorkflowDiff::distance`]) is the
+//! oracle the cost-only kernel is tested against.  Both sum in the same
+//! order and write the same cache entries, so they agree bit for bit.
 
 use crate::cache::{DiffCache, PairKey};
 use crate::cost::CostModel;
@@ -27,6 +37,7 @@ use crate::deletion::DeletionTables;
 use crate::error::DiffError;
 use crate::mapping::Mapping;
 use crate::surcharge::SpecContext;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use wfdiff_matching::{assignment_with_unmatched, noncrossing_solve};
 use wfdiff_sptree::{
@@ -78,12 +89,13 @@ pub struct WorkflowDiff<'a> {
 ///
 /// Build one per run with [`WorkflowDiff::prepare`] and reuse it across
 /// [`WorkflowDiff::diff_prepared`] / [`WorkflowDiff::distance_prepared`]
-/// calls: batch workloads (all-pairs clustering) prepare each run once and
-/// difference it against many partners.
+/// calls.  When prepared with a cache, both halves are memoised on the
+/// [`Run`] itself (see [`Run::fingerprints`] and [`Run::memoized`]), so a
+/// stored run is prepared once for its whole lifetime and every later
+/// `prepare` is a lookup.
 pub struct PreparedRun<'r> {
     run: &'r Run,
-    fps: TreeFingerprints,
-    tables: DeletionTables,
+    tables: Cow<'r, DeletionTables>,
 }
 
 impl<'r> PreparedRun<'r> {
@@ -93,8 +105,8 @@ impl<'r> PreparedRun<'r> {
     }
 
     /// The run tree's canonical fingerprints.
-    pub fn fingerprints(&self) -> &TreeFingerprints {
-        &self.fps
+    pub fn fingerprints(&self) -> &'r TreeFingerprints {
+        self.run.fingerprints()
     }
 
     /// The run's Algorithm 3 deletion/insertion tables.
@@ -103,13 +115,11 @@ impl<'r> PreparedRun<'r> {
     }
 }
 
-/// Internal memo entry.  `decision` is `None` when the cost was taken from a
-/// shared cache (cost-only queries never reconstruct a mapping, so no
-/// decision is needed).
-#[derive(Debug, Clone)]
+/// Mapping-kernel memo entry: the pair's cost and how its children matched.
+#[derive(Debug)]
 struct Entry {
     cost: f64,
-    decision: Option<Decision>,
+    decision: Decision,
 }
 
 impl<'a> WorkflowDiff<'a> {
@@ -143,6 +153,14 @@ impl<'a> WorkflowDiff<'a> {
     /// Fingerprints a run and computes its Algorithm 3 tables, reusing
     /// per-subtree cache entries when a shared cache is supplied.
     ///
+    /// Fingerprints are always memoised on the run ([`Run::fingerprints`]).
+    /// With a cache, so are the tables: the first cached `prepare` of a run
+    /// under this engine's cost model stores them in [`Run::memoized`], and
+    /// every later one borrows them without touching the cache (a run whose
+    /// slot holds another cost model's tables gets fresh ones).  Without a
+    /// cache nothing is shared across calls and the tables are recomputed,
+    /// which keeps the uncached path an independent oracle.
+    ///
     /// Fails with [`DiffError::SpecMismatch`] when the run does not belong to
     /// this engine's specification.
     pub fn prepare<'r>(
@@ -162,14 +180,18 @@ impl<'a> WorkflowDiff<'a> {
         if run.spec_fingerprint() != self.spec_fp {
             return Err(DiffError::SpecVersionMismatch { spec: self.spec.name().to_string() });
         }
-        let fps = TreeFingerprints::compute(run.tree());
-        let tables = match cache {
-            Some(cache) => {
-                DeletionTables::compute_cached(run.tree(), self.cost, &fps, self.cost_key, cache)
-            }
-            None => DeletionTables::compute(run.tree(), self.cost),
+        let fps = run.fingerprints();
+        let Some(cache) = cache else {
+            let tables = DeletionTables::compute(run.tree(), self.cost);
+            return Ok(PreparedRun { run, tables: Cow::Owned(tables) });
         };
-        Ok(PreparedRun { run, fps, tables })
+        let compute =
+            || DeletionTables::compute_cached(run.tree(), self.cost, fps, self.cost_key, cache);
+        let tables = match run.memoized(self.cost_key, compute) {
+            Some(tables) => Cow::Borrowed(tables),
+            None => Cow::Owned(compute()),
+        };
+        Ok(PreparedRun { run, tables })
     }
 
     /// Computes the edit distance and a minimum-cost mapping between two runs
@@ -196,27 +218,20 @@ impl<'a> WorkflowDiff<'a> {
         self.diff_prepared(&p1, &p2, cache)
     }
 
-    /// Computes the full diff between two prepared runs.
+    /// Computes the full diff between two prepared runs on the mapping
+    /// kernel.
+    ///
+    /// Mapping reconstruction needs a decision per mapped pair, so the full
+    /// diff never *reads* pair costs from the cache; it only publishes them
+    /// (and uses the O(1) identical-subtree fast path, whose decisions are
+    /// synthesised during reconstruction).
     pub fn diff_prepared(
         &self,
         p1: &PreparedRun<'_>,
         p2: &PreparedRun<'_>,
         cache: Option<&dyn DiffCache>,
     ) -> Result<DiffResult, DiffError> {
-        let cx = Ctx {
-            t1: p1.run.tree(),
-            t2: p2.run.tree(),
-            x1: &p1.tables,
-            x2: &p2.tables,
-            f1: &p1.fps,
-            f2: &p2.fps,
-            // Mapping reconstruction needs a decision per mapped pair, so the
-            // full diff never *reads* pair costs from the cache — it only
-            // publishes them (and uses the O(1) identical-subtree fast path,
-            // whose decisions are synthesised during reconstruction).
-            read_pairs: false,
-            cache,
-        };
+        let cx = Ctx::new(p1, p2, cache);
         let mut memo: HashMap<(TreeId, TreeId), Entry> = HashMap::new();
         let (root1, root2) = (cx.t1.root(), cx.t2.root());
         let root_cost = self.solve(&cx, root1, root2, &mut memo)?;
@@ -226,33 +241,30 @@ impl<'a> WorkflowDiff<'a> {
         let mut stack = vec![(root1, root2)];
         while let Some((a, b)) = stack.pop() {
             pairs.push((a, b));
-            let decision = match memo.get(&(a, b)) {
-                Some(Entry { decision: Some(decision), .. }) => decision.clone(),
-                Some(Entry { decision: None, .. }) => {
-                    return Err(DiffError::Invariant(format!(
-                        "cost-only memo entry reached during reconstruction at ({a}, {b})"
-                    )))
-                }
+            let decision = match memo.remove(&(a, b)) {
+                Some(entry) => entry.decision,
                 None if cx.f1.of(a) == cx.f2.of(b) => self.identity_decision(&cx, a, b)?,
                 None => {
                     return Err(DiffError::Invariant(format!("missing memo entry for ({a}, {b})")))
                 }
             };
-            decisions.insert((a, b), decision.clone());
-            match &decision {
-                Decision::Leaf | Decision::Unstable => {}
-                Decision::Series(children) | Decision::Matched(children) => {
-                    for &(c1, c2) in children {
-                        stack.push((c1, c2));
-                    }
-                }
+            if let Decision::Series(children) | Decision::Matched(children) = &decision {
+                stack.extend(children.iter().copied());
             }
+            decisions.insert((a, b), decision);
         }
         Ok(DiffResult { distance: root_cost, mapping: Mapping::new(pairs), decisions })
     }
 
-    /// Computes only the edit distance (no mapping reconstruction); slightly
-    /// cheaper and convenient for the benchmark harness.
+    /// Computes only the edit distance, by running the full diff (mapping
+    /// kernel, mapping reconstruction included) with no cache.
+    ///
+    /// This is deliberately the *unmemoised* path: it runs on the mapping
+    /// kernel, not on the cost-only kernel behind
+    /// [`WorkflowDiff::distance_prepared`], and reads no cache and no
+    /// memoised tables, which makes it the independent oracle the batch,
+    /// service and benchmark suites check their distances against.  Use
+    /// [`WorkflowDiff::distance_prepared`] when speed matters.
     pub fn distance(&self, r1: &Run, r2: &Run) -> Result<f64, DiffError> {
         Ok(self.diff(r1, r2)?.distance)
     }
@@ -274,25 +286,24 @@ impl<'a> WorkflowDiff<'a> {
         self.distance_prepared(&p1, &p2, Some(cache))
     }
 
-    /// Computes only the edit distance between two prepared runs.
+    /// Computes only the edit distance between two prepared runs, on the
+    /// cost-only kernel.
+    ///
+    /// The kernel is a plain recursion over the two trees: no per-pair memo,
+    /// no [`Decision`]s, children read in place.  With `cache` it reads and
+    /// writes the shared pair memo exactly where the mapping kernel writes
+    /// it, and it sums in the same order, so its result is bit-identical to
+    /// [`WorkflowDiff::diff_prepared`]'s distance.  On trees of `Q`, `S` and
+    /// `P` nodes it makes no heap allocation; each `F`/`L` pair allocates
+    /// the cost matrix and unmatched-cost vectors of its matching.
     pub fn distance_prepared(
         &self,
         p1: &PreparedRun<'_>,
         p2: &PreparedRun<'_>,
         cache: Option<&dyn DiffCache>,
     ) -> Result<f64, DiffError> {
-        let cx = Ctx {
-            t1: p1.run.tree(),
-            t2: p2.run.tree(),
-            x1: &p1.tables,
-            x2: &p2.tables,
-            f1: &p1.fps,
-            f2: &p2.fps,
-            read_pairs: true,
-            cache,
-        };
-        let mut memo: HashMap<(TreeId, TreeId), Entry> = HashMap::new();
-        self.solve(&cx, cx.t1.root(), cx.t2.root(), &mut memo)
+        let cx = Ctx::new(p1, p2, cache);
+        self.cost(&cx, cx.t1.root(), cx.t2.root())
     }
 
     /// Computes one row of a distance matrix: the edit distance from
@@ -374,8 +385,122 @@ impl<'a> WorkflowDiff<'a> {
         }
     }
 
-    /// The minimum cost of a well-formed mapping between `T1[v1]` and
-    /// `T2[v2]`, where `v1` and `v2` are homologous.
+    /// The cost-only kernel: the minimum cost of a well-formed mapping
+    /// between `T1[v1]` and `T2[v2]`, where `v1` and `v2` are homologous.
+    ///
+    /// Every step mirrors [`WorkflowDiff::solve`] (same identical-subtree
+    /// fast path, same cache writes, same summation order) but keeps no
+    /// decisions, and additionally answers from the shared pair memo.  No
+    /// per-call memo is needed: a homologous pair is reachable only from
+    /// its parents' pair, so each pair is visited once.
+    fn cost(&self, cx: &Ctx<'_>, v1: TreeId, v2: TreeId) -> Result<f64, DiffError> {
+        let (t1, t2) = (cx.t1, cx.t2);
+        let (n1, n2) = (t1.node(v1), t2.node(v2));
+        if n1.origin != n2.origin {
+            return Err(non_homologous(v1, v2));
+        }
+        if cx.f1.of(v1) == cx.f2.of(v2) {
+            return Ok(0.0);
+        }
+        let key = self.pair_key(cx, v1, v2);
+        if let Some(cost) = cx.cache.and_then(|c| c.get_pair(&key)) {
+            return Ok(cost);
+        }
+        let cost = match (n1.ty, n2.ty) {
+            (NodeType::Q, NodeType::Q) => 0.0,
+            (NodeType::S, NodeType::S) => {
+                let (c1, c2) = series_children(cx, v1, v2)?;
+                let mut total = 0.0;
+                for (&a, &b) in c1.iter().zip(c2) {
+                    total += self.cost(cx, a, b)?;
+                }
+                total
+            }
+            (NodeType::P, NodeType::P) => self.cost_parallel(cx, v1, v2)?,
+            (NodeType::F, NodeType::F) => {
+                let (pair_cost, left, right) =
+                    matching_inputs(cx, v1, v2, |a, b| self.cost(cx, a, b))?;
+                assignment_with_unmatched(&pair_cost, &left, &right)?.cost
+            }
+            (NodeType::L, NodeType::L) => {
+                let (pair_cost, left, right) =
+                    matching_inputs(cx, v1, v2, |a, b| self.cost(cx, a, b))?;
+                noncrossing_solve(&pair_cost, &left, &right)?.cost
+            }
+            (a, b) => return Err(mismatched_types(a, b)),
+        };
+        if let Some(cache) = cx.cache {
+            cache.put_pair(key, cost);
+        }
+        Ok(cost)
+    }
+
+    /// Case 3 of Algorithm 4 on the cost-only kernel: the arithmetic of
+    /// [`WorkflowDiff::solve_parallel`], with the origin lookups done by
+    /// scanning the child slices instead of building a map.
+    fn cost_parallel(&self, cx: &Ctx<'_>, v1: TreeId, v2: TreeId) -> Result<f64, DiffError> {
+        let (t1, t2) = (cx.t1, cx.t2);
+        let (x1, x2) = (cx.x1, cx.x2);
+        let (c1, c2) = (t1.children(v1), t2.children(v2));
+        // Case 3a: both have exactly one child and the children are homologous.
+        if let ([a], [b]) = (c1, c2) {
+            if t1.node(*a).origin == t2.node(*b).origin {
+                let mapped = self.cost(cx, *a, *b)?;
+                let unstable = self.unstable_cost(cx, v1, *a, *b)?;
+                return Ok(if mapped <= unstable { mapped } else { unstable });
+            }
+        }
+        // Case 3b: match children by their specification origin.  As in the
+        // mapping kernel's origin map, the partner of an origin is the last
+        // right child carrying it.
+        for &b in c2 {
+            t2.node(b).origin.ok_or_else(|| missing_origin(b))?;
+        }
+        let partner =
+            |origin: Option<TreeId>| c2.iter().rev().find(|&&b| t2.node(b).origin == origin);
+        let mut total = 0.0;
+        for &a in c1 {
+            let origin = t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
+            match partner(Some(origin)) {
+                Some(&b) => {
+                    let mapped = self.cost(cx, a, b)?;
+                    let separate = x1.x(a) + x2.x(b);
+                    total += if mapped <= separate { mapped } else { separate };
+                }
+                None => total += x1.x(a),
+            }
+        }
+        for &b in c2 {
+            let origin = t2.node(b).origin;
+            let matched =
+                partner(origin) == Some(&b) && c1.iter().any(|&a| t1.node(a).origin == origin);
+            if !matched {
+                total += x2.x(b);
+            }
+        }
+        Ok(total)
+    }
+
+    /// The cost of the unstable transformation of a single-child `P`/`P`
+    /// pair `(v1, v2)` with children `a` and `b`: `X(a) + X(b) + 2·W_TG`.
+    fn unstable_cost(
+        &self,
+        cx: &Ctx<'_>,
+        v1: TreeId,
+        a: TreeId,
+        b: TreeId,
+    ) -> Result<f64, DiffError> {
+        let spec_p = cx.t1.node(v1).origin.ok_or_else(|| missing_origin(v1))?;
+        let spec_child = cx.t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
+        Ok(cx.x1.x(a) + cx.x2.x(b) + 2.0 * self.ctx.w_surcharge(self.cost, spec_p, spec_child))
+    }
+
+    /// The mapping kernel: the minimum cost of a well-formed mapping between
+    /// `T1[v1]` and `T2[v2]`, where `v1` and `v2` are homologous, recording
+    /// in `memo` how each computed pair's children were matched.
+    ///
+    /// It never reads pair costs from the shared cache (reconstruction needs
+    /// every decision), only publishes them.
     fn solve(
         &self,
         cx: &Ctx<'_>,
@@ -383,16 +508,11 @@ impl<'a> WorkflowDiff<'a> {
         v2: TreeId,
         memo: &mut HashMap<(TreeId, TreeId), Entry>,
     ) -> Result<f64, DiffError> {
-        if let Some(entry) = memo.get(&(v1, v2)) {
-            return Ok(entry.cost);
-        }
         let (t1, t2) = (cx.t1, cx.t2);
         let n1 = t1.node(v1);
         let n2 = t2.node(v2);
         if n1.origin != n2.origin {
-            return Err(DiffError::Invariant(format!(
-                "solve called on non-homologous pair ({v1}, {v2})"
-            )));
+            return Err(non_homologous(v1, v2));
         }
         // Identical subtrees (same canonical fingerprint, origins included)
         // map onto each other for free — the dominant case when differencing
@@ -401,88 +521,48 @@ impl<'a> WorkflowDiff<'a> {
         if cx.f1.of(v1) == cx.f2.of(v2) {
             return Ok(0.0);
         }
-        // Shared fingerprint-keyed memo (cost-only queries): another diff of
-        // this specification may already have solved this exact subproblem.
-        let key = self.pair_key(cx, v1, v2);
-        if cx.read_pairs {
-            if let Some(cost) = cx.cache.and_then(|c| c.get_pair(&key)) {
-                memo.insert((v1, v2), Entry { cost, decision: None });
-                return Ok(cost);
-            }
-        }
         let entry = match (n1.ty, n2.ty) {
-            (NodeType::Q, NodeType::Q) => Entry { cost: 0.0, decision: Some(Decision::Leaf) },
+            (NodeType::Q, NodeType::Q) => Entry { cost: 0.0, decision: Decision::Leaf },
             (NodeType::S, NodeType::S) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
-                if c1.len() != c2.len() {
-                    return Err(DiffError::Invariant(
-                        "homologous S nodes with different child counts".to_string(),
-                    ));
-                }
+                let (c1, c2) = series_children(cx, v1, v2)?;
                 let mut total = 0.0;
                 let mut pairs = Vec::with_capacity(c1.len());
-                for (&a, &b) in c1.iter().zip(c2.iter()) {
+                for (&a, &b) in c1.iter().zip(c2) {
                     total += self.solve(cx, a, b, memo)?;
                     pairs.push((a, b));
                 }
-                Entry { cost: total, decision: Some(Decision::Series(pairs)) }
+                Entry { cost: total, decision: Decision::Series(pairs) }
             }
             (NodeType::P, NodeType::P) => self.solve_parallel(cx, v1, v2, memo)?,
             (NodeType::F, NodeType::F) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
-                let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
-                for (i, &a) in c1.iter().enumerate() {
-                    for (j, &b) in c2.iter().enumerate() {
-                        pair_cost[i][j] = Some(self.solve(cx, a, b, memo)?);
-                    }
-                }
-                let left: Vec<f64> = c1.iter().map(|&c| cx.x1.x(c)).collect();
-                let right: Vec<f64> = c2.iter().map(|&c| cx.x2.x(c)).collect();
+                let (pair_cost, left, right) =
+                    matching_inputs(cx, v1, v2, |a, b| self.solve(cx, a, b, memo))?;
                 let solved = assignment_with_unmatched(&pair_cost, &left, &right)?;
-                let pairs: Vec<(TreeId, TreeId)> = solved
-                    .left_to_right
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, j)| j.map(|j| (c1[i], c2[j])))
-                    .collect();
-                Entry { cost: solved.cost, decision: Some(Decision::Matched(pairs)) }
+                Entry {
+                    cost: solved.cost,
+                    decision: matched_pairs(cx, v1, v2, &solved.left_to_right),
+                }
             }
             (NodeType::L, NodeType::L) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
-                let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
-                for (i, &a) in c1.iter().enumerate() {
-                    for (j, &b) in c2.iter().enumerate() {
-                        pair_cost[i][j] = Some(self.solve(cx, a, b, memo)?);
-                    }
-                }
-                let left: Vec<f64> = c1.iter().map(|&c| cx.x1.x(c)).collect();
-                let right: Vec<f64> = c2.iter().map(|&c| cx.x2.x(c)).collect();
+                let (pair_cost, left, right) =
+                    matching_inputs(cx, v1, v2, |a, b| self.solve(cx, a, b, memo))?;
                 let solved = noncrossing_solve(&pair_cost, &left, &right)?;
-                let pairs: Vec<(TreeId, TreeId)> = solved
-                    .left_to_right
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, j)| j.map(|j| (c1[i], c2[j])))
-                    .collect();
-                Entry { cost: solved.cost, decision: Some(Decision::Matched(pairs)) }
+                Entry {
+                    cost: solved.cost,
+                    decision: matched_pairs(cx, v1, v2, &solved.left_to_right),
+                }
             }
-            (a, b) => {
-                return Err(DiffError::Invariant(format!(
-                    "homologous nodes with mismatched types {a} vs {b}"
-                )))
-            }
+            (a, b) => return Err(mismatched_types(a, b)),
         };
+        let cost = entry.cost;
         if let Some(cache) = cx.cache {
-            cache.put_pair(key, entry.cost);
+            cache.put_pair(self.pair_key(cx, v1, v2), cost);
         }
-        memo.insert((v1, v2), entry.clone());
-        Ok(entry.cost)
+        memo.insert((v1, v2), entry);
+        Ok(cost)
     }
 
-    /// Case 3 of Algorithm 4: a pair of `P` nodes.
+    /// Case 3 of Algorithm 4 on the mapping kernel: a pair of `P` nodes.
     fn solve_parallel(
         &self,
         cx: &Ctx<'_>,
@@ -492,34 +572,30 @@ impl<'a> WorkflowDiff<'a> {
     ) -> Result<Entry, DiffError> {
         let (t1, t2) = (cx.t1, cx.t2);
         let (x1, x2) = (cx.x1, cx.x2);
-        let c1 = t1.children(v1).to_vec();
-        let c2 = t2.children(v2).to_vec();
+        let (c1, c2) = (t1.children(v1), t2.children(v2));
         // Case 3a: both have exactly one child and the children are homologous.
-        if c1.len() == 1 && c2.len() == 1 {
-            let (a, b) = (c1[0], c2[0]);
+        if let ([a], [b]) = (c1, c2) {
+            let (a, b) = (*a, *b);
             if t1.node(a).origin == t2.node(b).origin {
                 let mapped = self.solve(cx, a, b, memo)?;
-                let spec_p = t1.node(v1).origin.ok_or_else(|| missing_origin(v1))?;
-                let spec_child = t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
-                let unstable =
-                    x1.x(a) + x2.x(b) + 2.0 * self.ctx.w_surcharge(self.cost, spec_p, spec_child);
+                let unstable = self.unstable_cost(cx, v1, a, b)?;
                 return Ok(if mapped <= unstable {
-                    Entry { cost: mapped, decision: Some(Decision::Matched(vec![(a, b)])) }
+                    Entry { cost: mapped, decision: Decision::Matched(vec![(a, b)]) }
                 } else {
-                    Entry { cost: unstable, decision: Some(Decision::Unstable) }
+                    Entry { cost: unstable, decision: Decision::Unstable }
                 });
             }
         }
         // Case 3b: match children by their specification origin.
         let mut by_origin_right: HashMap<TreeId, TreeId> = HashMap::new();
-        for &b in &c2 {
+        for &b in c2 {
             let origin = t2.node(b).origin.ok_or_else(|| missing_origin(b))?;
             by_origin_right.insert(origin, b);
         }
         let mut total = 0.0;
         let mut pairs = Vec::new();
         let mut matched_right: Vec<TreeId> = Vec::new();
-        for &a in &c1 {
+        for &a in c1 {
             let origin = t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
             match by_origin_right.get(&origin) {
                 Some(&b) => {
@@ -536,12 +612,12 @@ impl<'a> WorkflowDiff<'a> {
                 None => total += x1.x(a),
             }
         }
-        for &b in &c2 {
+        for &b in c2 {
             if !matched_right.contains(&b) {
                 total += x2.x(b);
             }
         }
-        Ok(Entry { cost: total, decision: Some(Decision::Matched(pairs)) })
+        Ok(Entry { cost: total, decision: Decision::Matched(pairs) })
     }
 }
 
@@ -554,10 +630,83 @@ struct Ctx<'e> {
     x2: &'e DeletionTables,
     f1: &'e TreeFingerprints,
     f2: &'e TreeFingerprints,
-    /// Whether pair costs may be *read* from the shared cache (cost-only
-    /// queries).  Writes happen whenever `cache` is present.
-    read_pairs: bool,
     cache: Option<&'e dyn DiffCache>,
+}
+
+impl<'e> Ctx<'e> {
+    fn new(
+        p1: &'e PreparedRun<'_>,
+        p2: &'e PreparedRun<'_>,
+        cache: Option<&'e dyn DiffCache>,
+    ) -> Self {
+        Ctx {
+            t1: p1.run.tree(),
+            t2: p2.run.tree(),
+            x1: &p1.tables,
+            x2: &p2.tables,
+            f1: p1.run.fingerprints(),
+            f2: p2.run.fingerprints(),
+            cache,
+        }
+    }
+}
+
+/// The children of a homologous `S`/`S` pair, which must be equally many.
+fn series_children<'e>(
+    cx: &Ctx<'e>,
+    v1: TreeId,
+    v2: TreeId,
+) -> Result<(&'e [TreeId], &'e [TreeId]), DiffError> {
+    let (c1, c2) = (cx.t1.children(v1), cx.t2.children(v2));
+    if c1.len() != c2.len() {
+        return Err(DiffError::Invariant(
+            "homologous S nodes with different child counts".to_string(),
+        ));
+    }
+    Ok((c1, c2))
+}
+
+/// The inputs of an `F`/`L` child matching: every child pair's mapping cost
+/// (from `pair`, in row-major order) and each child's deletion cost.
+type MatchingInputs = (Vec<Vec<Option<f64>>>, Vec<f64>, Vec<f64>);
+
+fn matching_inputs(
+    cx: &Ctx<'_>,
+    v1: TreeId,
+    v2: TreeId,
+    mut pair: impl FnMut(TreeId, TreeId) -> Result<f64, DiffError>,
+) -> Result<MatchingInputs, DiffError> {
+    let (c1, c2) = (cx.t1.children(v1), cx.t2.children(v2));
+    let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
+    for (row, &a) in pair_cost.iter_mut().zip(c1) {
+        for (cell, &b) in row.iter_mut().zip(c2) {
+            *cell = Some(pair(a, b)?);
+        }
+    }
+    let left = c1.iter().map(|&c| cx.x1.x(c)).collect();
+    let right = c2.iter().map(|&c| cx.x2.x(c)).collect();
+    Ok((pair_cost, left, right))
+}
+
+/// The decision of a solved `F`/`L` matching.
+fn matched_pairs(
+    cx: &Ctx<'_>,
+    v1: TreeId,
+    v2: TreeId,
+    left_to_right: &[Option<usize>],
+) -> Decision {
+    let (c1, c2) = (cx.t1.children(v1), cx.t2.children(v2));
+    Decision::Matched(
+        left_to_right.iter().enumerate().filter_map(|(i, j)| j.map(|j| (c1[i], c2[j]))).collect(),
+    )
+}
+
+fn non_homologous(v1: TreeId, v2: TreeId) -> DiffError {
+    DiffError::Invariant(format!("solve called on non-homologous pair ({v1}, {v2})"))
+}
+
+fn mismatched_types(a: NodeType, b: NodeType) -> DiffError {
+    DiffError::Invariant(format!("homologous nodes with mismatched types {a} vs {b}"))
 }
 
 fn missing_origin(v: TreeId) -> DiffError {

@@ -105,13 +105,6 @@ struct DistanceEntry {
     d: f64,
 }
 
-/// The canonical content fingerprint of a run's annotated tree (origin
-/// references included, so it is comparable exactly when the spec version
-/// fingerprints already match — which `validate` checks first).
-fn run_content_fingerprint(run: &wfdiff_sptree::Run) -> Fingerprint {
-    wfdiff_sptree::TreeFingerprints::compute(run.tree()).of(run.tree().root())
-}
-
 /// Builds the checkpoint document for one spec's live state, or `None` when
 /// a member cannot be resolved in `store` any more (a concurrent removal) —
 /// such a state is left out rather than written inconsistently.
@@ -123,7 +116,7 @@ fn build_doc(
     let run_fingerprints: Vec<String> = state
         .members
         .iter()
-        .map(|m| store.run(spec, m).map(|run| run_content_fingerprint(&run).to_string()))
+        .map(|m| store.run(spec, m).map(|run| run.fingerprints().root().to_string()))
         .collect::<Option<_>>()?;
     let index_of: HashMap<&str, usize> =
         state.members.iter().enumerate().map(|(i, m)| (m.as_str(), i)).collect();
@@ -310,7 +303,7 @@ fn validate(doc: &SpecClusterDoc, store: &WorkflowStore) -> Option<SpecClusterSt
         return None;
     }
     for ((_, run), recorded) in runs.iter().zip(&doc.run_fingerprints) {
-        if run_content_fingerprint(run).to_string() != *recorded {
+        if run.fingerprints().root().to_string() != *recorded {
             return None;
         }
     }

@@ -102,19 +102,13 @@ fn child_doc(child: Option<usize>) -> i64 {
     child.map(|c| c as i64).unwrap_or(-1)
 }
 
-/// The canonical content fingerprint of a run's annotated tree (the same
-/// fingerprint `cluster_cache.json` records).
-fn run_content_fingerprint(run: &wfdiff_sptree::Run) -> Fingerprint {
-    wfdiff_sptree::TreeFingerprints::compute(run.tree()).of(run.tree().root())
-}
-
 /// Builds the checkpoint document for one spec's live state, or `None` when
 /// a member cannot be resolved in `store` any more (a concurrent removal).
 fn build_doc(spec: &str, state: &SpecMetricState, store: &WorkflowStore) -> Option<SpecMetricDoc> {
     let run_fingerprints: Vec<String> = state
         .members
         .iter()
-        .map(|m| store.run(spec, m).map(|run| run_content_fingerprint(&run).to_string()))
+        .map(|m| store.run(spec, m).map(|run| run.fingerprints().root().to_string()))
         .collect::<Option<_>>()?;
     let nodes = state
         .tree
@@ -292,7 +286,7 @@ fn validate(doc: &SpecMetricDoc, store: &WorkflowStore) -> Option<SpecMetricStat
         return None;
     }
     for ((_, run), recorded) in runs.iter().zip(&doc.run_fingerprints) {
-        if run_content_fingerprint(run).to_string() != *recorded {
+        if run.fingerprints().root().to_string() != *recorded {
             return None;
         }
     }

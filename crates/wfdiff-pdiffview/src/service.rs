@@ -7,8 +7,9 @@
 //! browses whole collections of runs of one specification, which needs the
 //! full distance matrix.  Three levers make that fast here:
 //!
-//! 1. every run is **prepared once per batch** (fingerprints + Algorithm 3
-//!    tables, the latter shared across runs through the cache),
+//! 1. every stored run is **prepared once for its lifetime** (fingerprints
+//!    and Algorithm 3 tables, memoised on the immutable `Arc<Run>` and
+//!    shared across runs through the cache while they are built),
 //! 2. subtree-pair DP values are **memoised across pairs and across calls**
 //!    by canonical fingerprint, so a warm cache answers repeated or
 //!    overlapping queries at the root, and
@@ -381,16 +382,18 @@ impl DiffService {
         Ok((spec, runs))
     }
 
-    /// Primes the shared cache from the store's current contents: every run
-    /// of every specification is replayed through the engine's `prepare`
-    /// path on the worker pool, so the Algorithm-3 deletion tables for every
-    /// distinct subtree fingerprint are resident before the first query.
+    /// Prepares every stored run up front: each run of every specification
+    /// goes through the engine's `prepare` on the worker pool, which
+    /// memoises its fingerprints and Algorithm 3 tables on the stored run
+    /// itself (and fills the cache's per-subtree deletion entries while
+    /// building them).
     ///
     /// This is the companion of [`WorkflowStore::load_from_dir`]: after a
     /// process restart, `load` + `warm_start` moves the per-run preparation
-    /// cost out of the first `diff`/`diff_all_pairs` call (which then only
-    /// pays for the pair DP).  Calling it on a store that is already warm is
-    /// harmless — preparation hits the cache and returns immediately.
+    /// cost out of the first `diff`/`diff_all_pairs` call, and out of every
+    /// later one: queries borrow the memoised preparation and only pay for
+    /// the pair DP.  Calling it on a store that is already warm is harmless;
+    /// each `prepare` is then a lookup.
     ///
     /// [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
     pub fn warm_start(&self) -> Result<WarmStartReport, ServiceError> {
@@ -443,8 +446,8 @@ impl DiffService {
         spec: &str,
         pairs: &[(String, String)],
     ) -> Result<Vec<PairDistance>, ServiceError> {
-        // Deduplicate run names so each distinct run is resolved and
-        // prepared exactly once, however often it repeats across pairs.
+        // Deduplicate run names so each distinct run is resolved and its
+        // preparation looked up once, however often it repeats across pairs.
         let mut names: Vec<&str> =
             pairs.iter().flat_map(|(a, b)| [a.as_str(), b.as_str()]).collect();
         names.sort_unstable();
@@ -455,7 +458,8 @@ impl DiffService {
         let (spec_arc, runs) = self.lookup(spec, &names)?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
         let cache = self.cache.as_ref();
-        // Algorithm 3 preparation parallelises per distinct run.
+        // Preparation is memoised on each run; runs never prepared before
+        // (no warm start, or just inserted) are prepared in parallel.
         let run_refs: Vec<&Arc<Run>> = runs.iter().collect();
         let prepared = self.run_jobs(&run_refs, |r| engine.prepare(r, Some(cache)))?;
         let jobs: Vec<(usize, usize)> =

@@ -16,12 +16,20 @@ use crate::canonical::canonical_tree;
 use crate::node::{NodeType, TreeId, TreeNode};
 use crate::spec::Specification;
 use crate::tree::AnnotatedTree;
+use crate::TreeFingerprints;
 use crate::{Result, SpTreeError};
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 use wfdiff_graph::{validate_run_against_graph, EdgeId, Label, LabeledDigraph, NodeId};
 
 /// A valid run of an SP-workflow specification: the run graph together with
 /// its annotated SP-tree.
+///
+/// A run is immutable once built, so data derived from its tree is memoised
+/// for the run's lifetime: its canonical [`TreeFingerprints`] and one
+/// caller-keyed value (see [`Run::memoized`]).  A clone starts with
+/// whatever was memoised so far.
 #[derive(Debug, Clone)]
 pub struct Run {
     spec_name: String,
@@ -30,6 +38,8 @@ pub struct Run {
     source: NodeId,
     sink: NodeId,
     tree: AnnotatedTree,
+    fingerprints: OnceLock<TreeFingerprints>,
+    derived: OnceLock<(u64, Arc<dyn Any + Send + Sync>)>,
 }
 
 impl Run {
@@ -45,14 +55,14 @@ impl Run {
         )?;
         let ctree = canonical_tree(&graph, hom.run_source, hom.run_sink)?;
         let tree = replay(spec, &graph, &ctree)?;
-        Ok(Run {
-            spec_name: spec.name().to_string(),
-            spec_fp: spec.fingerprint(),
+        Ok(Run::from_parts(
+            spec.name().to_string(),
+            spec.fingerprint(),
             graph,
-            source: hom.run_source,
-            sink: hom.run_sink,
+            hom.run_source,
+            hom.run_sink,
             tree,
-        })
+        ))
     }
 
     /// Assembles a run from pre-built parts (used by the execution generator
@@ -65,7 +75,16 @@ impl Run {
         sink: NodeId,
         tree: AnnotatedTree,
     ) -> Run {
-        Run { spec_name, spec_fp, graph, source, sink, tree }
+        Run {
+            spec_name,
+            spec_fp,
+            graph,
+            source,
+            sink,
+            tree,
+            fingerprints: OnceLock::new(),
+            derived: OnceLock::new(),
+        }
     }
 
     /// Name of the specification this run belongs to.
@@ -97,6 +116,28 @@ impl Run {
     /// The annotated SP-tree of the run.
     pub fn tree(&self) -> &AnnotatedTree {
         &self.tree
+    }
+
+    /// The canonical fingerprints of the run tree, computed on first use.
+    pub fn fingerprints(&self) -> &TreeFingerprints {
+        self.fingerprints.get_or_init(|| TreeFingerprints::compute(&self.tree))
+    }
+
+    /// The run's single memo slot for data derived from its tree under some
+    /// caller-chosen `key` (the differencing engine keeps its Algorithm 3
+    /// tables here, keyed by the cost model).
+    ///
+    /// The first call fills the slot with `init()`.  Later calls with the
+    /// same key and type get the memoised value; any other key or type gets
+    /// `None` without running `init`, and the caller computes the value
+    /// itself.
+    pub fn memoized<T: Any + Send + Sync>(&self, key: u64, init: impl FnOnce() -> T) -> Option<&T> {
+        let (slot_key, value) = self.derived.get_or_init(|| (key, Arc::new(init())));
+        if *slot_key == key {
+            value.downcast_ref::<T>()
+        } else {
+            None
+        }
     }
 
     /// Number of edges of the run graph (implicit loop edges included); this is
@@ -641,6 +682,24 @@ mod tests {
             assert_eq!(t.children(copy).len(), 3);
         }
         assert_eq!(t.leaf_count(t.root()), 14);
+    }
+
+    #[test]
+    fn derived_data_is_memoised_once_per_run() {
+        let spec = fig2_specification();
+        let run = Run::from_graph(&spec, fig2_run1_graph()).unwrap();
+        let fresh = TreeFingerprints::compute(run.tree());
+        assert_eq!(run.fingerprints().root(), fresh.root());
+        assert!(std::ptr::eq(run.fingerprints(), run.fingerprints()), "computed once");
+        // The first key fills the slot; the same key and type read it back.
+        assert_eq!(run.memoized(7, || 1.5_f64), Some(&1.5));
+        assert_eq!(run.memoized(7, || -> f64 { unreachable!("slot is full") }), Some(&1.5));
+        // Another key or type gets nothing, and its initialiser never runs.
+        assert_eq!(run.memoized(8, || -> f64 { unreachable!("slot is taken") }), None);
+        assert_eq!(run.memoized(7, || -> u32 { unreachable!("slot is taken") }), None);
+        // A clone starts from what was memoised so far.
+        let copy = run.clone();
+        assert_eq!(copy.memoized(7, || 0.0_f64), Some(&1.5));
     }
 
     #[test]

@@ -8,7 +8,9 @@ use pdiffview::workloads::runs::{generate_run, RunGenConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wfdiff_core::{CacheStats, DeletionEntry, DeletionKey, PairKey};
 use wfdiff_sptree::{Run, Specification};
 
 /// A small Fig. 12/14-style workload: one random specification and a handful
@@ -114,4 +116,71 @@ fn concurrent_service_traffic_keeps_distances_stable() {
         "warm concurrent traffic must be answered entirely from the cache"
     );
     assert!(final_stats.hits > after_warmup.hits);
+}
+
+/// A [`DiffCache`] that counts Algorithm 3 lookups on the way through.
+#[derive(Default)]
+struct DeletionLookupCounter {
+    inner: ShardedDiffCache,
+    deletion_gets: AtomicU64,
+}
+
+impl DiffCache for DeletionLookupCounter {
+    fn get_deletion(&self, key: &DeletionKey) -> Option<Arc<DeletionEntry>> {
+        self.deletion_gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.get_deletion(key)
+    }
+
+    fn put_deletion(&self, key: DeletionKey, entry: Arc<DeletionEntry>) {
+        self.inner.put_deletion(key, entry)
+    }
+
+    fn get_pair(&self, key: &PairKey) -> Option<f64> {
+        self.inner.get_pair(key)
+    }
+
+    fn put_pair(&self, key: PairKey, cost: f64) {
+        self.inner.put_pair(key, cost)
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn warm_started_runs_are_not_prepared_again_per_request() {
+    let (spec, runs) = workload(41, 5, 2, 1);
+    let name = spec.name().to_string();
+    let store = Arc::new(WorkflowStore::new());
+    store.insert_spec(spec.clone()).expect("fresh store");
+    for (i, run) in runs.iter().enumerate() {
+        store.insert_run(&format!("run{i:02}"), run.clone()).expect("spec stored");
+    }
+    let counter = Arc::new(DeletionLookupCounter::default());
+    let service =
+        DiffService::builder(store).cache(Arc::clone(&counter) as Arc<dyn DiffCache>).build();
+    service.warm_start().expect("warm start");
+    assert!(counter.deletion_gets.load(Ordering::Relaxed) > 0, "warm start builds the tables");
+
+    let before = counter.deletion_gets.load(Ordering::Relaxed);
+    let pairs: Vec<(String, String)> = (0..runs.len())
+        .flat_map(|i| (0..runs.len()).map(move |j| (format!("run{i:02}"), format!("run{j:02}"))))
+        .collect();
+    let batch = service.diff_batch(&name, &pairs).expect("batch");
+    service.diff(&name, "run00", "run01").expect("single");
+    service.diff_all_pairs(&name).expect("all pairs");
+    service.nearest_runs(&name, "run02", 2).expect("nearest");
+    assert_eq!(
+        counter.deletion_gets.load(Ordering::Relaxed),
+        before,
+        "stored runs keep their warm-start preparation"
+    );
+    let engine = WorkflowDiff::new(&spec, &UnitCost);
+    for ((a, b), got) in pairs.iter().zip(&batch) {
+        let i: usize = a[3..].parse().expect("run index");
+        let j: usize = b[3..].parse().expect("run index");
+        let fresh = engine.distance(&runs[i], &runs[j]).expect("valid runs");
+        assert_eq!(got.distance.to_bits(), fresh.to_bits(), "{a} vs {b}");
+    }
 }
