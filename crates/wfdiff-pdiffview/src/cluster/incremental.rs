@@ -24,6 +24,16 @@
 //! actually moves a medoid and the change ripples into neighbouring
 //! clusters.
 //!
+//! That iteration still *reads* the memo Σ|cluster|² times per round, so
+//! each read must be cheap.  Run names therefore stay at the edges: every
+//! member holds a stable `u32` id from when it first appears until it
+//! leaves, assignments and medoids are positions in the sorted member list,
+//! and the memo is one map from the packed unordered id pair to the
+//! distance, hashed by a single multiply-fold.  A memo read allocates
+//! nothing and hashes no string; names are used only to ask the
+//! [`DistanceOracle`] on a miss.  A removed or replaced run has its
+//! entries purged by id, and its id is reused only after that purge.
+//!
 //! Because every mutation re-stabilises to a fixed point of the same
 //! deterministic iteration, an index that tracked a store through inserts
 //! and removals converges to the same clusters a from-scratch recluster of
@@ -44,6 +54,7 @@
 use super::kmedoids::{seed_medoids, solve};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use wfdiff_sptree::Fingerprint;
 
 /// Iteration ceiling of the stabilisation runs.
@@ -104,7 +115,50 @@ impl ClusterSnapshot {
     }
 }
 
+/// The distance memo: packed unordered member-id pair → edit distance.
+type DistanceMemo = HashMap<u64, f64, BuildHasherDefault<PairKeyHasher>>;
+
+/// A one-round multiply-fold hasher for the memo's packed id-pair keys.
+/// The keys are small internal ids, never request input, so SipHash's
+/// flooding resistance buys nothing here; one 64×64→128-bit multiply with
+/// the halves folded together spreads them across the table.
+#[derive(Debug, Default, Clone, Copy)]
+struct PairKeyHasher(u64);
+
+impl Hasher for PairKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+/// The memo key of the unordered member-id pair `{a, b}`.
+fn pair_key(a: u32, b: u32) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    (u64::from(lo) << 32) | u64::from(hi)
+}
+
+/// The two ids of a memo key, lower first.
+fn key_ids(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
 /// Per-specification clustering state; see the [module docs](self).
+///
+/// Run names appear only at the edges — the member list, the oracle calls
+/// on a memo miss and the snapshot.  Everything the iteration touches is
+/// positional: `assignments` and `medoids` index the sorted member list,
+/// and the memo is keyed by a stable `u32` id per member.
 #[derive(Debug, Clone)]
 pub(crate) struct SpecClusterState {
     /// Requested cluster count (effective count clamps to the member count).
@@ -115,36 +169,111 @@ pub(crate) struct SpecClusterState {
     pub(crate) version: Fingerprint,
     /// Clustered runs, sorted by name.
     pub(crate) members: Vec<String>,
-    /// Cluster id per member run.
-    pub(crate) assignments: HashMap<String, usize>,
-    /// Medoid run names, one per cluster, sorted by name.
-    pub(crate) medoids: Vec<String>,
-    /// Memoised distances, keyed by ordered run-name pair.
-    pub(crate) distances: HashMap<(String, String), f64>,
+    /// Memo id of each member, aligned with `members`.  An id is fixed when
+    /// the member first appears and released when it leaves.
+    ids: Vec<u32>,
+    /// Released ids, reused before `next_id` grows, so ids stay below the
+    /// peak member count (far below 2³² for any store that fits in memory;
+    /// a checkpoint load rejects larger member lists).
+    free_ids: Vec<u32>,
+    /// One past the largest id ever handed out.
+    next_id: u32,
+    /// Cluster index per member, aligned with `members`.
+    pub(crate) assignments: Vec<usize>,
+    /// Medoids as positions in `members`, one per cluster, ascending.
+    pub(crate) medoids: Vec<usize>,
+    /// Memoised distances between members.  Invariant: both ids of every
+    /// key belong to current members.
+    distances: DistanceMemo,
     /// Cached medoid-based silhouette of the current clustering.
     pub(crate) silhouette: f64,
     /// Cached sum of member-to-medoid distances.
     pub(crate) cost: f64,
 }
 
-fn pair_key(a: &str, b: &str) -> (String, String) {
-    if a <= b {
-        (a.to_string(), b.to_string())
-    } else {
-        (b.to_string(), a.to_string())
-    }
-}
-
 impl SpecClusterState {
+    /// An unclustered state with an empty memo over `members` (sorted,
+    /// distinct), member `p` holding id `p`.
+    pub(crate) fn new(k: usize, seed: u64, version: Fingerprint, members: Vec<String>) -> Self {
+        let n = members.len() as u32;
+        SpecClusterState {
+            k,
+            seed,
+            version,
+            members,
+            ids: (0..n).collect(),
+            free_ids: Vec::new(),
+            next_id: n,
+            assignments: Vec::new(),
+            medoids: Vec::new(),
+            distances: DistanceMemo::default(),
+            silhouette: 0.0,
+            cost: 0.0,
+        }
+    }
+
+    /// Records a checkpointed distance between the members at positions
+    /// `i` and `j` of a state built by [`Self::new`] (whose ids *are* the
+    /// positions).  Returns `false` when the pair was already recorded.
+    pub(crate) fn restore_distance(&mut self, i: usize, j: usize, d: f64) -> bool {
+        self.distances.insert(pair_key(i as u32, j as u32), d).is_none()
+    }
+
+    /// The memo as `(i, j, d)` entries over member positions, `i < j`,
+    /// sorted — the checkpoint's on-disk shape.
+    pub(crate) fn distances_by_position(&self) -> Vec<(usize, usize, f64)> {
+        let mut position_of = vec![None; self.next_id as usize];
+        for (p, &id) in self.ids.iter().enumerate() {
+            if let Some(slot) = position_of.get_mut(id as usize) {
+                *slot = Some(p);
+            }
+        }
+        let position = |id: u32| position_of.get(id as usize).copied().flatten();
+        let mut entries: Vec<(usize, usize, f64)> = self
+            .distances
+            .iter()
+            .filter_map(|(&key, &d)| {
+                let (a, b) = key_ids(key);
+                let (i, j) = (position(a)?, position(b)?);
+                Some((i.min(j), i.max(j), d))
+            })
+            .collect();
+        entries.sort_by_key(|&(i, j, _)| (i, j));
+        entries
+    }
+
+    /// Consumes the state, re-keying its memo for a state over `members`
+    /// built by [`Self::new`]; entries involving runs outside `members` are
+    /// dropped.
+    fn into_memo_for(self, members: &[String]) -> DistanceMemo {
+        let mut renumbered = vec![None; self.next_id as usize];
+        for (name, &id) in self.members.iter().zip(&self.ids) {
+            if let (Ok(p), Some(slot)) =
+                (members.binary_search(name), renumbered.get_mut(id as usize))
+            {
+                *slot = Some(p as u32);
+            }
+        }
+        let renumber = |id: u32| renumbered.get(id as usize).copied().flatten();
+        self.distances
+            .into_iter()
+            .filter_map(|(key, d)| {
+                let (a, b) = key_ids(key);
+                Some((pair_key(renumber(a)?, renumber(b)?), d))
+            })
+            .collect()
+    }
+
     fn snapshot(&self, spec: &str) -> ClusterSnapshot {
         let mut clusters: Vec<RunCluster> = self
             .medoids
             .iter()
-            .map(|m| RunCluster { medoid: m.clone(), runs: Vec::new() })
+            .map(|&m| RunCluster { medoid: self.members[m].clone(), runs: Vec::new() })
             .collect();
-        for member in &self.members {
-            let c = self.assignments[member];
-            clusters[c].runs.push(member.clone());
+        for (member, &c) in self.members.iter().zip(&self.assignments) {
+            if let Some(cluster) = clusters.get_mut(c) {
+                cluster.runs.push(member.clone());
+            }
         }
         ClusterSnapshot {
             spec: spec.to_string(),
@@ -156,70 +285,124 @@ impl SpecClusterState {
         }
     }
 
-    /// Memoised distance lookup; fetches through the oracle on a miss.
+    /// A fresh memo id.
+    fn allocate_id(&mut self) -> u32 {
+        self.free_ids.pop().unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        })
+    }
+
+    /// Drops every memoised distance involving `id`.
+    fn purge_id(&mut self, id: u32) {
+        self.distances.retain(|&key, _| {
+            let (a, b) = key_ids(key);
+            a != id && b != id
+        });
+    }
+
+    /// Purges `id` and makes it available for reuse.
+    fn release_id(&mut self, id: u32) {
+        self.purge_id(id);
+        self.free_ids.push(id);
+    }
+
+    /// Memoised distance between the members at positions `i` and `j`;
+    /// fetches through the oracle, by name, only on a miss.
     fn distance<O: DistanceOracle>(
         &mut self,
         oracle: &O,
-        a: &str,
-        b: &str,
+        i: usize,
+        j: usize,
     ) -> Result<f64, O::Error> {
-        if a == b {
+        if i == j {
             return Ok(0.0);
         }
-        let key = pair_key(a, b);
+        let key = pair_key(self.ids[i], self.ids[j]);
         if let Some(&d) = self.distances.get(&key) {
             return Ok(d);
         }
-        let d = oracle.distances(a, &[b])?[0];
+        let d = oracle.distances(&self.members[i], &[&self.members[j]])?[0];
         self.distances.insert(key, d);
         Ok(d)
     }
 
-    /// Fetches (and memoises) the distances from `source` to every target
-    /// not already memoised, in **one** oracle batch.
-    fn prefetch<O: DistanceOracle>(
+    /// Distances from `source` (a run name and its memo id; it need not be
+    /// a member yet) to the members at `targets`, index-aligned.  Every
+    /// distance not already memoised is fetched in **one** oracle batch.
+    fn row<O: DistanceOracle>(
         &mut self,
         oracle: &O,
         source: &str,
-        targets: &[String],
-    ) -> Result<(), O::Error> {
-        let missing: Vec<&str> = targets
-            .iter()
-            .map(String::as_str)
-            .filter(|t| *t != source && !self.distances.contains_key(&pair_key(source, t)))
-            .collect();
-        if missing.is_empty() {
-            return Ok(());
+        source_id: u32,
+        targets: &[usize],
+    ) -> Result<Vec<f64>, O::Error> {
+        let mut row = Vec::with_capacity(targets.len());
+        let mut missing = Vec::new();
+        for (slot, &t) in targets.iter().enumerate() {
+            let id = self.ids[t];
+            if id == source_id {
+                row.push(0.0);
+                continue;
+            }
+            match self.distances.get(&pair_key(source_id, id)) {
+                Some(&d) => row.push(d),
+                None => {
+                    missing.push(slot);
+                    row.push(0.0);
+                }
+            }
         }
-        let fetched = oracle.distances(source, &missing)?;
-        for (t, d) in missing.iter().zip(fetched) {
-            self.distances.insert(pair_key(source, t), d);
+        if !missing.is_empty() {
+            let names: Vec<&str> =
+                missing.iter().map(|&slot| self.members[targets[slot]].as_str()).collect();
+            let fetched = oracle.distances(source, &names)?;
+            for (&slot, d) in missing.iter().zip(fetched) {
+                row[slot] = d;
+                self.distances.insert(pair_key(source_id, self.ids[targets[slot]]), d);
+            }
         }
-        Ok(())
+        Ok(row)
+    }
+
+    /// The nearest medoid's cluster for a run that is not a member yet,
+    /// prefetching its distances to every member of that cluster: O(k +
+    /// |cluster|) fresh diffs, so the medoid update has every sum it needs.
+    fn join_cluster<O: DistanceOracle>(
+        &mut self,
+        oracle: &O,
+        run_name: &str,
+        id: u32,
+    ) -> Result<usize, O::Error> {
+        let medoids = self.medoids.clone();
+        let mut nearest = (f64::INFINITY, 0usize);
+        for (c, d) in self.row(oracle, run_name, id, &medoids)?.into_iter().enumerate() {
+            if d < nearest.0 {
+                nearest = (d, c);
+            }
+        }
+        let cluster: Vec<usize> =
+            (0..self.members.len()).filter(|&p| self.assignments[p] == nearest.1).collect();
+        self.row(oracle, run_name, id, &cluster)?;
+        Ok(nearest.1)
     }
 
     /// Runs the alternating iteration to a fixed point from the given
-    /// initial medoids (member indices) and installs the result.
+    /// initial medoids (member positions) and installs the result.
     fn stabilize<O: DistanceOracle>(
         &mut self,
         oracle: &O,
         initial: Vec<usize>,
     ) -> Result<(), O::Error> {
-        let members = self.members.clone();
-        let n = members.len();
+        let n = self.members.len();
         debug_assert!(n > 0);
-        let result = {
-            let mut dist = |i: usize, j: usize| self.distance(oracle, &members[i], &members[j]);
-            solve(n, initial, MAX_ITERATIONS, &mut dist)?
-        };
-        self.silhouette = {
-            let mut dist = |i: usize, j: usize| self.distance(oracle, &members[i], &members[j]);
-            result.silhouette(&mut dist)?
-        };
+        let mut dist = |i: usize, j: usize| self.distance(oracle, i, j);
+        let result = solve(n, initial, MAX_ITERATIONS, &mut dist)?;
+        let silhouette = result.silhouette(&mut dist)?;
+        self.silhouette = silhouette;
         self.cost = result.cost;
-        self.medoids = result.medoids.iter().map(|&m| members[m].clone()).collect();
-        self.assignments =
-            members.iter().zip(&result.assignments).map(|(name, &c)| (name.clone(), c)).collect();
+        self.medoids = result.medoids;
+        self.assignments = result.assignments;
         Ok(())
     }
 
@@ -230,21 +413,10 @@ impl SpecClusterState {
         oracle: &O,
         effective_k: usize,
     ) -> Result<(), O::Error> {
-        let members = self.members.clone();
+        let n = self.members.len();
         let seed = self.seed;
-        let initial = {
-            let mut dist = |i: usize, j: usize| self.distance(oracle, &members[i], &members[j]);
-            seed_medoids(members.len(), effective_k, seed, &mut dist)?
-        };
+        let initial = seed_medoids(n, effective_k, seed, &mut |i, j| self.distance(oracle, i, j))?;
         self.stabilize(oracle, initial)
-    }
-
-    /// The current medoids as indices into the (sorted) member list.
-    fn medoid_indices(&self) -> Vec<usize> {
-        self.medoids
-            .iter()
-            .map(|m| self.members.binary_search(m).expect("every medoid is a member"))
-            .collect()
     }
 }
 
@@ -362,22 +534,13 @@ impl IncrementalClusterIndex {
             });
         }
         // Rebuild, keeping the distance memo of a same-version predecessor
-        // (a changed k or member set does not invalidate distances).
-        let distances = match states.remove(spec) {
-            Some(old) if old.version == version => old.distances,
-            _ => HashMap::new(),
-        };
-        let mut state = SpecClusterState {
-            k,
-            seed,
-            version,
-            members,
-            assignments: HashMap::new(),
-            medoids: Vec::new(),
-            distances,
-            silhouette: 0.0,
-            cost: 0.0,
-        };
+        // (a changed k or member set does not invalidate distances) for the
+        // runs that are still members.
+        let predecessor = states.remove(spec).filter(|old| old.version == version);
+        let mut state = SpecClusterState::new(k, seed, version, members);
+        if let Some(old) = predecessor {
+            state.distances = old.into_memo_for(&state.members);
+        }
         let n = state.members.len();
         state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
         let snapshot = state.snapshot(spec);
@@ -408,36 +571,33 @@ impl IncrementalClusterIndex {
             self.mark_spec_dirty(spec);
             return Ok(false);
         }
-        if state.members.binary_search(&run_name.to_string()).is_ok() {
-            // A replaced run of the same name: its old distances are stale.
-            let name = run_name.to_string();
-            state.distances.retain(|(a, b), _| *a != name && *b != name);
-        } else {
-            // O(k) fresh diffs: the new run against every medoid ...
-            let medoids = state.medoids.clone();
-            state.prefetch(oracle, run_name, &medoids)?;
-            let mut nearest = (f64::INFINITY, 0usize);
-            for (c, m) in medoids.iter().enumerate() {
-                let d = state.distance(oracle, run_name, m)?;
-                if d < nearest.0 {
-                    nearest = (d, c);
+        match state.members.binary_search_by(|m| m.as_str().cmp(run_name)) {
+            Ok(position) => {
+                // A replaced run of the same name: its old distances are
+                // stale.  It keeps its position and id.
+                let id = state.ids[position];
+                state.purge_id(id);
+            }
+            Err(position) => {
+                let id = state.allocate_id();
+                let cluster = match state.join_cluster(oracle, run_name, id) {
+                    Ok(cluster) => cluster,
+                    Err(e) => {
+                        // Never leave memo entries behind for an id that
+                        // no member holds: the id is reused later.
+                        state.release_id(id);
+                        return Err(e);
+                    }
+                };
+                state.members.insert(position, run_name.to_string());
+                state.ids.insert(position, id);
+                state.assignments.insert(position, cluster);
+                for m in &mut state.medoids {
+                    if *m >= position {
+                        *m += 1;
+                    }
                 }
             }
-            // ... plus O(|cluster|) against the members of the cluster it
-            // joins, so the medoid update has every sum it needs.
-            let cluster_members: Vec<String> = state
-                .members
-                .iter()
-                .filter(|m| state.assignments.get(*m) == Some(&nearest.1))
-                .cloned()
-                .collect();
-            state.prefetch(oracle, run_name, &cluster_members)?;
-            let insert_at = state
-                .members
-                .binary_search(&run_name.to_string())
-                .expect_err("name verified absent above");
-            state.members.insert(insert_at, run_name.to_string());
-            state.assignments.insert(run_name.to_string(), nearest.1);
         }
         // An index built while fewer than k runs were stored clamped its
         // cluster count; growing past the clamp must add clusters back
@@ -447,7 +607,7 @@ impl IncrementalClusterIndex {
         if state.medoids.len() < effective_k {
             state.reseed_and_stabilize(oracle, effective_k)?;
         } else {
-            let initial = state.medoid_indices();
+            let initial = state.medoids.clone();
             state.stabilize(oracle, initial)?;
         }
         self.mark_spec_dirty(spec);
@@ -466,13 +626,21 @@ impl IncrementalClusterIndex {
         let Some(state) = states.get_mut(spec) else {
             return Ok(false);
         };
-        let Ok(position) = state.members.binary_search(&run_name.to_string()) else {
+        let Ok(position) = state.members.binary_search_by(|m| m.as_str().cmp(run_name)) else {
             return Ok(false);
         };
+        let was_medoid = state.medoids.iter().position(|&m| m == position);
         state.members.remove(position);
-        state.assignments.remove(run_name);
-        let name = run_name.to_string();
-        state.distances.retain(|(a, b), _| *a != name && *b != name);
+        state.assignments.remove(position);
+        let id = state.ids.remove(position);
+        state.release_id(id);
+        // Later members move down one position.  A removed medoid's own
+        // slot is overwritten below (replacement or reseed).
+        for m in &mut state.medoids {
+            if *m > position {
+                *m -= 1;
+            }
+        }
         self.mark_spec_dirty(spec);
         if state.members.is_empty() {
             states.remove(spec);
@@ -480,33 +648,28 @@ impl IncrementalClusterIndex {
         }
         let n = state.members.len();
         let effective_k = state.k.clamp(1, n);
-        let was_medoid = state.medoids.iter().position(|m| m == run_name);
         if was_medoid.is_some() || state.medoids.len() > effective_k {
             if let (Some(c), true) = (was_medoid, state.medoids.len() <= effective_k) {
                 // Replace the lost medoid with the best remaining member of
                 // its former cluster (falling back to a deterministic
                 // reseed when the cluster emptied out).
-                let former: Vec<String> = state
-                    .members
-                    .iter()
-                    .filter(|m| state.assignments.get(*m) == Some(&c))
-                    .cloned()
-                    .collect();
-                if former.is_empty() {
+                let former: Vec<usize> = (0..n).filter(|&p| state.assignments[p] == c).collect();
+                let Some(&first) = former.first() else {
                     state.reseed_and_stabilize(oracle, effective_k)?;
                     return Ok(true);
-                }
-                let mut best = (f64::INFINITY, former[0].clone());
-                for candidate in &former {
-                    // One batched fetch per candidate; the inner sum then
-                    // runs entirely off the memo.
-                    state.prefetch(oracle, candidate, &former)?;
+                };
+                let mut best = (f64::INFINITY, first);
+                for &candidate in &former {
+                    // One batched fetch per candidate, summed in member
+                    // order.
+                    let name = state.members[candidate].clone();
+                    let id = state.ids[candidate];
                     let mut sum = 0.0;
-                    for member in &former {
-                        sum += state.distance(oracle, candidate, member)?;
+                    for d in state.row(oracle, &name, id, &former)? {
+                        sum += d;
                     }
                     if sum < best.0 {
-                        best = (sum, candidate.clone());
+                        best = (sum, candidate);
                     }
                 }
                 state.medoids[c] = best.1;
@@ -517,7 +680,7 @@ impl IncrementalClusterIndex {
                 return Ok(true);
             }
         }
-        let initial = state.medoid_indices();
+        let initial = state.medoids.clone();
         state.stabilize(oracle, initial)?;
         Ok(true)
     }
@@ -566,15 +729,17 @@ impl IncrementalClusterIndex {
             state
                 .members
                 .iter()
-                .map(|member| {
+                .zip(&state.ids)
+                .map(|(member, &id)| {
                     let row = state
                         .medoids
                         .iter()
-                        .map(|medoid| {
-                            if member == medoid {
+                        .map(|&m| {
+                            let medoid = state.ids[m];
+                            if id == medoid {
                                 Some(0.0)
                             } else {
-                                state.distances.get(&pair_key(member, medoid)).copied()
+                                state.distances.get(&pair_key(id, medoid)).copied()
                             }
                         })
                         .collect();

@@ -118,19 +118,11 @@ fn build_doc(
         .iter()
         .map(|m| store.run(spec, m).map(|run| run.fingerprints().root().to_string()))
         .collect::<Option<_>>()?;
-    let index_of: HashMap<&str, usize> =
-        state.members.iter().enumerate().map(|(i, m)| (m.as_str(), i)).collect();
-    let mut distances: Vec<DistanceEntry> = state
-        .distances
-        .iter()
-        .filter_map(|((a, b), &d)| {
-            // Entries for runs that have since been removed are already
-            // pruned by the index; be defensive anyway.
-            let (i, j) = (*index_of.get(a.as_str())?, *index_of.get(b.as_str())?);
-            Some(DistanceEntry { i: i.min(j), j: i.max(j), d })
-        })
+    let distances = state
+        .distances_by_position()
+        .into_iter()
+        .map(|(i, j, d)| DistanceEntry { i, j, d })
         .collect();
-    distances.sort_by_key(|x| (x.i, x.j));
     Some(SpecClusterDoc {
         spec: spec.to_string(),
         spec_fingerprint: state.version.to_string(),
@@ -138,8 +130,12 @@ fn build_doc(
         seed: state.seed,
         members: state.members.clone(),
         run_fingerprints,
-        assignments: state.members.iter().map(|m| state.assignments[m]).collect(),
-        medoids: state.medoids.clone(),
+        assignments: state.assignments.clone(),
+        medoids: state
+            .medoids
+            .iter()
+            .map(|&m| state.members.get(m).cloned())
+            .collect::<Option<_>>()?,
         distances,
         silhouette: state.silhouette,
         cost: state.cost,
@@ -308,7 +304,7 @@ fn validate(doc: &SpecClusterDoc, store: &WorkflowStore) -> Option<SpecClusterSt
         }
     }
     let n = doc.members.len();
-    if n == 0 || doc.k == 0 {
+    if n == 0 || doc.k == 0 || u32::try_from(n).is_err() {
         return None;
     }
     let clusters = doc.medoids.len();
@@ -326,11 +322,13 @@ fn validate(doc: &SpecClusterDoc, store: &WorkflowStore) -> Option<SpecClusterSt
     }
     let member_index: HashMap<&str, usize> =
         doc.members.iter().enumerate().map(|(i, m)| (m.as_str(), i)).collect();
+    let mut medoids = Vec::with_capacity(clusters);
     for (c, medoid) in doc.medoids.iter().enumerate() {
         let &m = member_index.get(medoid.as_str())?;
         if doc.assignments[m] != c {
             return None;
         }
+        medoids.push(m);
     }
     if doc.assignments.iter().any(|&a| a >= clusters) {
         return None;
@@ -342,29 +340,17 @@ fn validate(doc: &SpecClusterDoc, store: &WorkflowStore) -> Option<SpecClusterSt
     {
         return None;
     }
-    let mut distances = HashMap::with_capacity(doc.distances.len());
+    // Member `p` gets memo id `p`, so the `(i, j, d)` entries are already
+    // id pairs.
+    let mut state = SpecClusterState::new(doc.k, doc.seed, version, doc.members.clone());
     for &DistanceEntry { i, j, d } in &doc.distances {
-        if i >= j || j >= n || !d.is_finite() || d < 0.0 {
-            return None;
-        }
-        if distances.insert((doc.members[i].clone(), doc.members[j].clone()), d).is_some() {
+        if i >= j || j >= n || !d.is_finite() || d < 0.0 || !state.restore_distance(i, j, d) {
             return None;
         }
     }
-    Some(SpecClusterState {
-        k: doc.k,
-        seed: doc.seed,
-        version,
-        members: doc.members.clone(),
-        assignments: doc
-            .members
-            .iter()
-            .zip(&doc.assignments)
-            .map(|(m, &a)| (m.clone(), a))
-            .collect(),
-        medoids: doc.medoids.clone(),
-        distances,
-        silhouette: doc.silhouette,
-        cost: doc.cost,
-    })
+    state.assignments = doc.assignments.clone();
+    state.medoids = medoids;
+    state.silhouette = doc.silhouette;
+    state.cost = doc.cost;
+    Some(state)
 }

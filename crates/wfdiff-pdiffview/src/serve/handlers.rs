@@ -241,10 +241,9 @@ fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError
         }
         persisted = true;
     }
-    // Fold the new run into the incremental cluster index (a cheap no-op
-    // until the first k-medoids query builds state for this spec; never
-    // fails the insert).  The time this takes is the recluster lag the
-    // metrics expose.
+    // Fold the new run into the incremental cluster index and the metric
+    // index (each a cheap no-op until a query builds state for this spec;
+    // never fails the insert).  The cluster-update histogram times both.
     let started = Instant::now();
     service.notify_run_inserted(&spec_name, &body.name);
     state.metrics.observe_cluster_update(started.elapsed());
@@ -331,6 +330,7 @@ fn stream_events(state: &AppState, req: &Request) -> Result<(u16, String), ApiEr
             let _ = store.append_stream_close_to_dir(dir, &body.spec, &body.stream, seq);
         }
         service.remove_stream(&body.spec, &body.stream);
+        // Same index update, and same histogram, as a whole insert.
         let started = Instant::now();
         service.notify_run_inserted(&body.spec, &body.stream);
         state.metrics.observe_cluster_update(started.elapsed());
@@ -941,7 +941,7 @@ mod tests {
         assert!(snapshot.cluster_of("r3").is_some(), "streamed run was folded in");
         // And r3 (a copy of r2) landed in r2's cluster.
         assert_eq!(snapshot.cluster_of("r3"), snapshot.cluster_of("r2"));
-        // The recluster lag was observed.
+        // The index update was timed.
         assert!(state
             .metrics()
             .render(state.router())

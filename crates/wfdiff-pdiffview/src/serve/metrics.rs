@@ -310,8 +310,10 @@ impl ServeMetrics {
         self.shard_requests[i.min(last)].inc();
     }
 
-    /// Records one incremental cluster-index update (the recluster lag a
-    /// `POST /runs` pays to keep clustering fresh).
+    /// Records one post-insert index update: the time
+    /// [`DiffService::notify_run_inserted`](crate::service::DiffService::notify_run_inserted)
+    /// takes to fold a stored run into both the cluster index and the
+    /// metric index.
     pub fn observe_cluster_update(&self, elapsed: Duration) {
         self.cluster_update.observe(elapsed);
     }
@@ -548,7 +550,7 @@ impl ServeMetrics {
             m,
             "wfdiff_cluster_update_duration_seconds",
             "histogram",
-            "Incremental cluster-index update latency per inserted run (recluster lag).",
+            "Time to fold one inserted run into the cluster index and the metric index.",
         );
         let h = &self.cluster_update;
         for (b, (le, _)) in LATENCY_BUCKETS.iter().enumerate() {
