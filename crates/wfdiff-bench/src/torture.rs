@@ -47,6 +47,10 @@ pub const TORTURE_SPEC: &str = "torture";
 /// Seed of the clustering passes (scripted and verifying).
 pub const TORTURE_CLUSTER_SEED: u64 = 7;
 
+/// Cluster count of the verifier's checkpoint probe: no scripted op uses
+/// it, so the probe rebuilds the clustering from the restored memo.
+pub const TORTURE_PROBE_K: usize = 4;
+
 /// WAL fold threshold the child runs with — small enough that threshold
 /// folds fire mid-script, putting crash points inside the fold itself.
 pub const TORTURE_FOLD_THRESHOLD: u64 = 2048;
@@ -486,7 +490,7 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
         if replay_runs != loaded_runs {
             continue;
         }
-        return match states_equal(&loaded, &replay) {
+        return match states_equal(dir, &loaded, &replay) {
             Ok(()) => Outcome::Consistent,
             Err(e) => Outcome::Violation(format!("prefix {prefix}: {e}")),
         };
@@ -500,8 +504,13 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
 /// Compares the recovered store against the reference replay: full pairwise
 /// distance matrix and k-medoids partition must be identical, and the
 /// recovered directory's cluster checkpoint must restore without poisoning
-/// either.
-fn states_equal(loaded: &Arc<WorkflowStore>, replay: &Arc<WorkflowStore>) -> Result<(), String> {
+/// either — a service that loaded it must cluster at [`TORTURE_PROBE_K`]
+/// (a rebuild served from the restored memo) exactly as the replay does.
+fn states_equal(
+    dir: &Path,
+    loaded: &Arc<WorkflowStore>,
+    replay: &Arc<WorkflowStore>,
+) -> Result<(), String> {
     let loaded_service = DiffService::new(Arc::clone(loaded));
     let replay_service = DiffService::new(Arc::clone(replay));
     let runs = replay.run_names(TORTURE_SPEC);
@@ -535,6 +544,30 @@ fn states_equal(loaded: &Arc<WorkflowStore>, replay: &Arc<WorkflowStore>) -> Res
             "partition {:?} diverges from replay {:?}",
             got.partition(),
             want.partition()
+        ));
+    }
+
+    let restored = DiffService::new(Arc::clone(loaded));
+    restored.load_cluster_state(dir);
+    let got = restored
+        .cluster_medoids(TORTURE_SPEC, TORTURE_PROBE_K, TORTURE_CLUSTER_SEED)
+        .map_err(|e| format!("clustering from the restored checkpoint: {e}"))?;
+    let want = replay_service
+        .cluster_medoids(TORTURE_SPEC, TORTURE_PROBE_K, TORTURE_CLUSTER_SEED)
+        .map_err(|e| format!("probe clustering of the replay store: {e}"))?;
+    if got.partition() != want.partition()
+        || got.cost.to_bits() != want.cost.to_bits()
+        || got.silhouette.to_bits() != want.silhouette.to_bits()
+    {
+        return Err(format!(
+            "restored checkpoint clusters k={TORTURE_PROBE_K} as {:?} (cost {}, silhouette {}), \
+             replay as {:?} (cost {}, silhouette {})",
+            got.partition(),
+            got.cost,
+            got.silhouette,
+            want.partition(),
+            want.cost,
+            want.silhouette
         ));
     }
     Ok(())
@@ -615,6 +648,15 @@ mod tests {
         let ca = sa.cluster_medoids(TORTURE_SPEC, 2, TORTURE_CLUSTER_SEED).unwrap();
         let cb = sb.cluster_medoids(TORTURE_SPEC, 2, TORTURE_CLUSTER_SEED).unwrap();
         assert_eq!(ca.partition(), cb.partition());
+    }
+
+    #[test]
+    fn the_probe_k_is_one_no_scripted_op_uses() {
+        for scale in [TortureScale::Quick, TortureScale::Full] {
+            assert!(script(scale)
+                .iter()
+                .all(|op| !matches!(op, TortureOp::Recluster { k } if *k == TORTURE_PROBE_K)));
+        }
     }
 
     #[test]

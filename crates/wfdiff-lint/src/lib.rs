@@ -11,7 +11,7 @@
 //! |------|------|----------|
 //! | `WFL000` | allowlist-hygiene | `lint_allow.toml` entries must still match a site |
 //! | `WFL001` | io-discipline | no direct `std::fs` in durability-critical modules |
-//! | `WFL002` | lock-order | `save_lock` → `specs` → `runs` → `persist_fp_cache` |
+//! | `WFL002` | lock-order | `checkpoint_lock` → `save_lock` → `specs` → `runs` → `persist_fp_cache` |
 //! | `WFL003` | panic-freedom | no `unwrap`/`expect`/`panic!` in non-test library code |
 //! | `WFL004` | metrics-naming | `wfdiff_`-prefixed, kind-suffixed, registered once |
 //! | `WFL005` | error-status-exhaustiveness | every error variant in the status map |

@@ -59,8 +59,8 @@ pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "WFL002",
         name: "lock-order",
-        summary: "store locks are acquired in rank order: save_lock, then specs, then runs, \
-                  then persist_fp_cache",
+        summary: "store locks are acquired in rank order: checkpoint_lock, then save_lock, \
+                  then specs, then runs, then persist_fp_cache",
     },
     RuleInfo {
         id: "WFL003",
@@ -201,16 +201,18 @@ fn path_call(toks: &[Token], i: usize) -> Option<&str> {
 // WFL002 — lock-order
 // ---------------------------------------------------------------------------
 
-/// The store's lock ranks.  Mirrors `wfdiff_pdiffview::lockrank::LockRank`:
+/// The store's lock ranks, led by the derived indexes' checkpoint lock.
+/// Mirrors `wfdiff_pdiffview::lockrank::LockRank`:
 /// a lock may only be acquired when every lock already held has a *lower*
 /// rank.
-const LOCK_RANKS: [(&str, &str, u8); 6] = [
-    ("save_lock", "lock", 0),
-    ("specs", "read", 1),
-    ("specs", "write", 1),
-    ("runs", "read", 2),
-    ("runs", "write", 2),
-    ("persist_fp_cache", "lock", 3),
+const LOCK_RANKS: [(&str, &str, u8); 7] = [
+    ("checkpoint_lock", "lock", 0),
+    ("save_lock", "lock", 1),
+    ("specs", "read", 2),
+    ("specs", "write", 2),
+    ("runs", "read", 3),
+    ("runs", "write", 3),
+    ("persist_fp_cache", "lock", 4),
 ];
 
 fn wfl002_lock_order(file: &SourceFile, out: &mut Vec<Violation>) {
@@ -265,8 +267,8 @@ fn wfl002_lock_order(file: &SourceFile, out: &mut Vec<Violation>) {
                     field,
                     format!(
                         "lock-order violation: `{name}` (rank {rank}) acquired after \
-                         `{held_name}` (rank {held}); the store's discipline is \
-                         save_lock → specs → runs → persist_fp_cache"
+                         `{held_name}` (rank {held}); the discipline is \
+                         checkpoint_lock → save_lock → specs → runs → persist_fp_cache"
                     ),
                 ));
             }

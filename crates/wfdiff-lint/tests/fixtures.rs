@@ -85,9 +85,24 @@ fn wfl002_flags_specs_acquired_under_runs() {
 }
 
 #[test]
+fn wfl002_flags_a_checkpoint_started_under_the_save_lock() {
+    let src = "impl S {\n\
+               \x20   fn bad(&self) {\n\
+               \x20       let _g = self.save_lock.lock();\n\
+               \x20       let _c = self.checkpoint_lock.lock();\n\
+               \x20   }\n\
+               }\n";
+    let vs = check(&[("crates/wfdiff-pdiffview/src/cluster/persist.rs", src)]);
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert_eq!((vs[0].rule, vs[0].line), ("WFL002", 4), "{vs:?}");
+    assert!(vs[0].message.contains("`checkpoint_lock`"), "{vs:?}");
+}
+
+#[test]
 fn wfl002_accepts_ordered_and_sequentially_relocked_acquisition() {
     let src = "impl S {\n\
                \x20   fn good(&self) {\n\
+               \x20       let _k = self.checkpoint_lock.lock();\n\
                \x20       let _g = self.save_lock.lock();\n\
                \x20       { let _s = self.specs.write(); }\n\
                \x20       { let _r = self.runs.read(); }\n\

@@ -49,9 +49,18 @@
 //! [`persist`](crate::cluster::persist) can checkpoint it next to the store
 //! directory so a restarted server resumes without re-differencing.
 //!
+//! Each state journals the memo keys it inserts, so a checkpoint record
+//! carries only the entries added since the previous one — a streamed
+//! insert's record costs its O(k + |cluster|) new distances, not the O(n²)
+//! memo.  A state that [`IncrementalClusterIndex::ensure`] builds journals
+//! its whole memo.  The journal is compacted against the memo whenever it
+//! grows past twice the memo's size, so it stays bounded without
+//! checkpoints.
+//!
 //! [`ShardedDiffCache`]: wfdiff_core::ShardedDiffCache
 
 use super::kmedoids::{seed_medoids, solve};
+use crate::lockrank::CheckpointLock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -59,6 +68,10 @@ use wfdiff_sptree::Fingerprint;
 
 /// Iteration ceiling of the stabilisation runs.
 const MAX_ITERATIONS: usize = 64;
+
+/// Journal entries tolerated beyond twice the memo size before the journal
+/// is compacted against the memo.
+const JOURNAL_SLACK: usize = 64;
 
 /// Supplies edit distances between stored runs of one specification, batched
 /// one-source-to-many-targets so implementations can prepare the source run
@@ -185,6 +198,12 @@ pub(crate) struct SpecClusterState {
     /// Memoised distances between members.  Invariant: both ids of every
     /// key belong to current members.
     distances: DistanceMemo,
+    /// Memo keys inserted since the last successful checkpoint, in insertion
+    /// order; the next checkpoint record carries exactly these entries.  A
+    /// key may repeat or have been purged since; both are filtered when the
+    /// record is built.  Compacted against the memo once it outgrows it, so
+    /// it stays bounded even when no checkpoint ever runs.
+    journal: Vec<u64>,
     /// Cached medoid-based silhouette of the current clustering.
     pub(crate) silhouette: f64,
     /// Cached sum of member-to-medoid distances.
@@ -207,6 +226,7 @@ impl SpecClusterState {
             assignments: Vec::new(),
             medoids: Vec::new(),
             distances: DistanceMemo::default(),
+            journal: Vec::new(),
             silhouette: 0.0,
             cost: 0.0,
         }
@@ -219,9 +239,9 @@ impl SpecClusterState {
         self.distances.insert(pair_key(i as u32, j as u32), d).is_none()
     }
 
-    /// The memo as `(i, j, d)` entries over member positions, `i < j`,
-    /// sorted — the checkpoint's on-disk shape.
-    pub(crate) fn distances_by_position(&self) -> Vec<(usize, usize, f64)> {
+    /// The journaled memo entries as `(i, j, d)` over member positions,
+    /// `i < j`, sorted and distinct — a checkpoint record's `distances`.
+    pub(crate) fn journal_by_position(&self) -> Vec<(usize, usize, f64)> {
         let mut position_of = vec![None; self.next_id as usize];
         for (p, &id) in self.ids.iter().enumerate() {
             if let Some(slot) = position_of.get_mut(id as usize) {
@@ -230,16 +250,42 @@ impl SpecClusterState {
         }
         let position = |id: u32| position_of.get(id as usize).copied().flatten();
         let mut entries: Vec<(usize, usize, f64)> = self
-            .distances
+            .journal
             .iter()
-            .filter_map(|(&key, &d)| {
-                let (a, b) = key_ids(key);
+            .filter_map(|key| {
+                let d = *self.distances.get(key)?;
+                let (a, b) = key_ids(*key);
                 let (i, j) = (position(a)?, position(b)?);
                 Some((i.min(j), i.max(j), d))
             })
             .collect();
         entries.sort_by_key(|&(i, j, _)| (i, j));
+        entries.dedup_by_key(|&mut (i, j, _)| (i, j));
         entries
+    }
+
+    /// Marks every journaled entry as checkpointed.
+    pub(crate) fn clear_journal(&mut self) {
+        self.journal.clear();
+    }
+
+    /// Journals the whole memo, so the next checkpoint record carries every
+    /// entry — for a freshly built state, and after a failed append.
+    pub(crate) fn journal_whole_memo(&mut self) {
+        self.journal.clear();
+        self.journal.extend(self.distances.keys());
+    }
+
+    /// Memoises one fetched distance and journals its key.
+    fn memoize(&mut self, key: u64, d: f64) {
+        self.distances.insert(key, d);
+        self.journal.push(key);
+        if self.journal.len() > 2 * self.distances.len() + JOURNAL_SLACK {
+            let memo = &self.distances;
+            self.journal.retain(|key| memo.contains_key(key));
+            self.journal.sort_unstable();
+            self.journal.dedup();
+        }
     }
 
     /// Consumes the state, re-keying its memo for a state over `members`
@@ -323,7 +369,7 @@ impl SpecClusterState {
             return Ok(d);
         }
         let d = oracle.distances(&self.members[i], &[&self.members[j]])?[0];
-        self.distances.insert(key, d);
+        self.memoize(key, d);
         Ok(d)
     }
 
@@ -359,7 +405,7 @@ impl SpecClusterState {
             let fetched = oracle.distances(source, &names)?;
             for (&slot, d) in missing.iter().zip(fetched) {
                 row[slot] = d;
-                self.distances.insert(pair_key(source_id, self.ids[targets[slot]]), d);
+                self.memoize(pair_key(source_id, self.ids[targets[slot]]), d);
             }
         }
         Ok(row)
@@ -440,6 +486,9 @@ pub struct IncrementalClusterIndex {
     /// Set by [`Self::mark_dirty`]: every tracked spec must be re-appended
     /// (e.g. after a load pass rejected on-disk entries).
     all_dirty: std::sync::atomic::AtomicBool,
+    /// Held by a checkpoint across take-dirty → build → append, so two
+    /// checkpoints append their records in the order they took the states.
+    pub(crate) checkpoint_lock: CheckpointLock,
 }
 
 impl IncrementalClusterIndex {
@@ -543,6 +592,9 @@ impl IncrementalClusterIndex {
         }
         let n = state.members.len();
         state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
+        // A built state checkpoints whole: its first record carries every
+        // memo entry, like a record with nothing before it.
+        state.journal_whole_memo();
         let snapshot = state.snapshot(spec);
         states.insert(spec.to_string(), state);
         self.mark_spec_dirty(spec);
@@ -895,6 +947,25 @@ mod tests {
         assert!(index.remove_run("s", "p1", &oracle).unwrap());
         assert!(index.remove_run("s", "p2", &oracle).unwrap());
         assert!(index.snapshot("s").is_none(), "empty state is dropped");
+    }
+
+    #[test]
+    fn the_journal_stays_bounded_without_checkpoints() {
+        let oracle = MatrixOracle::new(blobs());
+        let index = IncrementalClusterIndex::new();
+        index.ensure("s", VERSION, &names(0..9), 3, 1, &oracle).unwrap();
+        // Each cycle purges p0's entries and fetches them again, so without
+        // compaction the journal would grow by a few keys per cycle.
+        for _ in 0..200 {
+            assert!(index.remove_run("s", "p0", &oracle).unwrap());
+            assert!(index.insert_run("s", VERSION, "p0", &oracle).unwrap());
+        }
+        index.with_states(|states| {
+            let state = &states["s"];
+            assert!(state.journal.len() <= 2 * state.distances.len() + JOURNAL_SLACK);
+            // Compaction keeps every entry the next record must carry.
+            assert_eq!(state.journal_by_position().len(), state.distances.len());
+        });
     }
 
     #[test]

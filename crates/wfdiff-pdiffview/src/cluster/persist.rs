@@ -14,10 +14,31 @@
 //!
 //! The artifact lives at [`CLUSTER_CACHE_FILE`] inside the store directory
 //! written by [`WorkflowStore::save_to_dir`](crate::store::WorkflowStore);
-//! [`DiffService::save_cluster_state`] writes it and
-//! [`DiffService::load_cluster_state`] restores it (the `wfdiff_serve` boot
-//! sequence calls the latter right after
+//! [`DiffService::save_cluster_state`] checkpoints into the directory's
+//! write-ahead log and [`DiffService::load_cluster_state`] restores the
+//! file plus the log (the `wfdiff_serve` boot sequence calls the latter
+//! right after
 //! [`DiffService::warm_start`](crate::service::DiffService::warm_start)).
+//!
+//! # Checkpoint records are journaled entries, merged onto the previous entry
+//!
+//! A spec's memo holds O(n²) distances, so a checkpoint record does not
+//! repeat it.  Each record carries the O(n) header (members, run
+//! fingerprints, assignments, medoids, silhouette, cost) and only the memo
+//! entries journaled since the spec's previous successful checkpoint.  A
+//! freshly built state, and one whose last append failed, journals its
+//! whole memo, so its record is a whole-memo record.
+//!
+//! Replay merges each record onto the spec's previous entry (the file
+//! entry, then each earlier record): the result is the record's header
+//! and entries plus every earlier entry whose two runs are still members
+//! with the same run-content fingerprint, under the same spec fingerprint
+//! and cost key.  The memo caches a pure function of (spec version, two
+//! run contents, cost model), so a carried entry is exactly the distance a
+//! fresh diff returns, and an entry the filter drops is refetched
+//! bit-identically on demand.  Load and fold share one `merge`, and the
+//! merged entry is then validated like any other.  A whole-memo
+//! record, as older builds wrote, is simply a record carrying every entry.
 //!
 //! [`DiffService::save_cluster_state`]: crate::service::DiffService::save_cluster_state
 //! [`DiffService::load_cluster_state`]: crate::service::DiffService::load_cluster_state
@@ -28,7 +49,7 @@ use crate::store::WorkflowStore;
 use crate::storeio::StoreIo;
 use crate::wal::{self, ClusterDeltaRecord, WalRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use wfdiff_sptree::Fingerprint;
 
@@ -66,9 +87,9 @@ struct ClusterCacheDoc {
 
 /// One specification's checkpointed clustering.  Also the payload of a
 /// [`ClusterDeltaRecord`] in the write-ahead log, which is why the type is
-/// crate-visible: the WAL holds whole per-spec snapshots (last-wins on
-/// replay), never partial diffs, so a delta validates exactly like a file
-/// entry.
+/// crate-visible: a record carries the full header but only the journaled
+/// memo entries, and replay [`merge`]s it onto the spec's previous entry
+/// before it validates like a file entry (see the [module docs](self)).
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct SpecClusterDoc {
     spec: String,
@@ -88,7 +109,8 @@ pub(crate) struct SpecClusterDoc {
     assignments: Vec<usize>,
     /// Medoid run names, one per cluster.
     medoids: Vec<String>,
-    /// Memoised distances, `i < j` indexing `members`.
+    /// Memoised distances, `i < j` indexing `members`: every entry in the
+    /// file, the journaled entries in a WAL record.
     distances: Vec<DistanceEntry>,
     silhouette: f64,
     cost: f64,
@@ -105,9 +127,10 @@ struct DistanceEntry {
     d: f64,
 }
 
-/// Builds the checkpoint document for one spec's live state, or `None` when
-/// a member cannot be resolved in `store` any more (a concurrent removal) —
-/// such a state is left out rather than written inconsistently.
+/// Builds the checkpoint record for one spec's live state — the full header
+/// and the journaled memo entries — or `None` when a member cannot be
+/// resolved in `store` any more (a concurrent removal); such a state is left
+/// out rather than written inconsistently, and keeps its journal.
 fn build_doc(
     spec: &str,
     state: &SpecClusterState,
@@ -119,7 +142,7 @@ fn build_doc(
         .map(|m| store.run(spec, m).map(|run| run.fingerprints().root().to_string()))
         .collect::<Option<_>>()?;
     let distances = state
-        .distances_by_position()
+        .journal_by_position()
         .into_iter()
         .map(|(i, j, d)| DistanceEntry { i, j, d })
         .collect();
@@ -144,10 +167,12 @@ fn build_doc(
 
 /// Checkpoints the index by *appending* one [`ClusterDeltaRecord`] per dirty
 /// spec to the store directory's write-ahead log — O(changed specs), not
-/// O(all specs) — instead of rewriting `cluster_cache.json` whole.  The next
-/// full save ([`WorkflowStore::save_to_dir`](crate::store::WorkflowStore))
-/// folds the deltas into the file via [`fold_wal_deltas`].  Returns the
-/// number of specs currently tracked by the index.
+/// O(all specs) — instead of rewriting `cluster_cache.json` whole.  Each
+/// record carries only the memo entries journaled since the spec's last
+/// checkpoint (see the [module docs](self)).  The next full save
+/// ([`WorkflowStore::save_to_dir`](crate::store::WorkflowStore)) folds the
+/// records into the file via [`fold_wal_deltas`].  Returns the number of
+/// specs currently tracked by the index.
 ///
 /// The append is skipped entirely — the index tracks per-spec dirty sets —
 /// when nothing changed since the last successful checkpoint, so calling
@@ -158,6 +183,9 @@ pub(crate) fn save_wal(
     cost_key: u64,
     dir: &Path,
 ) -> Result<usize, PersistError> {
+    // Held across take → build → append, so records land in the order their
+    // states were taken: a record merges onto the one before it.
+    let _checkpoint = index.checkpoint_lock.lock();
     let count = index.with_states(|states| states.len());
     let Some(dirty) = index.take_dirty_specs() else {
         return Ok(count);
@@ -166,13 +194,23 @@ pub(crate) fn save_wal(
         dirty
             .iter()
             .filter_map(|spec| {
-                let doc = build_doc(spec, states.get(spec)?, store)?;
+                let state = states.get_mut(spec)?;
+                let doc = build_doc(spec, state, store)?;
+                state.clear_journal();
                 Some(WalRecord::ClusterDelta(ClusterDeltaRecord { cost_key, doc }))
             })
             .collect()
     });
     if let Err(e) = store.append_wal_records(dir, &records) {
-        // The states are still unpersisted; make sure the next save retries.
+        // The journaled entries may not be on disk: journal each whole memo
+        // again, and make sure the next save retries.
+        index.with_states(|states| {
+            for spec in &dirty {
+                if let Some(state) = states.get_mut(spec) {
+                    state.journal_whole_memo();
+                }
+            }
+        });
         for spec in &dirty {
             index.mark_spec_dirty(spec);
         }
@@ -181,13 +219,60 @@ pub(crate) fn save_wal(
     Ok(count)
 }
 
-/// Folds WAL cluster deltas into `dir/cluster_cache.json` during a full
+/// Merges a spec's checkpoint record `next` onto its previous entry `prev`
+/// (both keyed by the same cost model): `next`'s header and entries, plus
+/// every `prev` entry whose two runs are still members of `next` with the
+/// same run-content fingerprint, under the same spec fingerprint.  The
+/// entries come out sorted by `(i, j)`; `next`'s win over carried ones.
+fn merge(prev: SpecClusterDoc, mut next: SpecClusterDoc) -> SpecClusterDoc {
+    if prev.spec_fingerprint != next.spec_fingerprint {
+        return next;
+    }
+    // `prev` position → `next` position of the same run with the same
+    // content.
+    let renumber: Vec<Option<usize>> = {
+        let position: HashMap<(&str, &str), usize> = next
+            .members
+            .iter()
+            .zip(&next.run_fingerprints)
+            .enumerate()
+            .map(|(p, (member, fp))| ((member.as_str(), fp.as_str()), p))
+            .collect();
+        prev.members
+            .iter()
+            .zip(&prev.run_fingerprints)
+            .map(|(member, fp)| position.get(&(member.as_str(), fp.as_str())).copied())
+            .collect()
+    };
+    let own: HashSet<(usize, usize)> = next.distances.iter().map(|e| (e.i, e.j)).collect();
+    let renumbered = |p: usize| renumber.get(p).copied().flatten();
+    let carried = prev.distances.into_iter().filter_map(|DistanceEntry { i, j, d }| {
+        let (a, b) = (renumbered(i)?, renumbered(j)?);
+        let (i, j) = (a.min(b), a.max(b));
+        (i != j && !own.contains(&(i, j))).then_some(DistanceEntry { i, j, d })
+    });
+    next.distances.extend(carried);
+    next.distances.sort_by_key(|e| (e.i, e.j));
+    next
+}
+
+/// Merges `next` onto `entries`' current entry for its spec.
+fn merge_into(entries: &mut BTreeMap<String, SpecClusterDoc>, next: SpecClusterDoc) {
+    let merged = match entries.remove(&next.spec) {
+        Some(prev) => merge(prev, next),
+        None => next,
+    };
+    entries.insert(merged.spec.clone(), merged);
+}
+
+/// Folds WAL cluster records into `dir/cluster_cache.json` during a full
 /// save: existing file entries are kept as the base (when the file is
-/// readable and keyed by the same cost model) and each delta overwrites its
-/// spec's entry, last-wins.  Deltas keyed by a different cost model are
-/// dropped — their distances are meaningless under the folding service's
-/// cost model.  An unreadable base file is treated as empty rather than an
-/// error: the cache is derived data and must never block a save.
+/// readable and keyed by the same cost model) and each record is
+/// [`merge`]d onto its spec's entry, in append order.  Records keyed by a
+/// different cost model are dropped — their distances are meaningless
+/// under the folding service's cost model.  An unreadable base file is
+/// treated as empty rather than an error: the cache is derived data and
+/// must never block a save.
 pub(crate) fn fold_wal_deltas(
     io: &dyn StoreIo,
     dir: &Path,
@@ -209,7 +294,7 @@ pub(crate) fn fold_wal_deltas(
     }
     for delta in deltas {
         if delta.cost_key == final_key {
-            merged.insert(delta.doc.spec.clone(), delta.doc);
+            merge_into(&mut merged, delta.doc);
         }
     }
     let doc = ClusterCacheDoc {
@@ -232,10 +317,9 @@ pub(crate) fn load(
 ) -> ClusterCacheReport {
     let path = dir.join(CLUSTER_CACHE_FILE);
     let mut report = ClusterCacheReport::default();
-    // The checkpoint file is the base; WAL deltas appended after the last
-    // fold supersede its entry for the same spec (last-wins), and a
-    // superseded entry is never validated — it is simply outdated, not
-    // stale.
+    // The checkpoint file is the base; each WAL record appended after the
+    // last fold merges onto its spec's entry, and only the merged entry is
+    // validated.
     let mut entries: BTreeMap<String, SpecClusterDoc> = BTreeMap::new();
     if path.exists() {
         match read_json::<ClusterCacheDoc>(&path) {
@@ -251,7 +335,7 @@ pub(crate) fn load(
         for record in scan.records {
             if let WalRecord::ClusterDelta(delta) = record {
                 if delta.cost_key == cost_key {
-                    entries.insert(delta.doc.spec.clone(), delta.doc);
+                    merge_into(&mut entries, delta.doc);
                 } else {
                     report.stale += 1;
                 }

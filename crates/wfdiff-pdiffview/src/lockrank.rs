@@ -1,12 +1,13 @@
 //! Runtime lock-rank guard for the store's locks — the dynamic counterpart
 //! of the static `WFL002` lock-order rule in `wfdiff-lint`.
 //!
-//! Every [`WorkflowStore`](crate::store::WorkflowStore) lock carries a
-//! [`LockRank`]; a thread may only acquire a lock whose rank is strictly
-//! greater than every rank it already holds:
+//! Every [`WorkflowStore`](crate::store::WorkflowStore) lock, and the
+//! checkpoint lock of each derived index, carries a [`LockRank`]; a thread
+//! may only acquire a lock whose rank is strictly greater than every rank
+//! it already holds:
 //!
 //! ```text
-//! save_lock (0)  →  specs (1)  →  runs (2)  →  persist_fp_cache (3)  →  streams (4)
+//! checkpoint_lock (0)  →  save_lock (1)  →  specs (2)  →  runs (3)  →  persist_fp_cache (4)  →  streams (5)
 //! ```
 //!
 //! Under `debug_assertions` (every `cargo test` run, including the store's
@@ -29,28 +30,34 @@ use std::ops::{Deref, DerefMut};
 /// [`WorkflowStore`](crate::store::WorkflowStore)'s fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum LockRank {
-    /// `save_lock` — serialises whole saves; taken first, never under any
-    /// other store lock.
-    Save = 0,
+    /// `checkpoint_lock` — one per derived index (cluster, metric); held
+    /// across a checkpoint's take-dirty → build → append, so checkpoint
+    /// records land in the WAL in the order their states were taken.
+    /// Outermost: the append under it takes `save_lock`.
+    Checkpoint = 0,
+    /// `save_lock` — serialises whole saves; taken first among the store's
+    /// locks, never under any other store lock.
+    Save = 1,
     /// `specs` — the specification map.
-    Specs = 1,
+    Specs = 2,
     /// `runs` — the run map; always after `specs` when both are held.
-    Runs = 2,
+    Runs = 3,
     /// `persist_fp_cache` — the fingerprint memo; innermost of the store's
     /// own locks.
-    FpCache = 3,
+    FpCache = 4,
     /// `streams` — the in-flight stream registry owned by
     /// [`DiffService`](crate::service::DiffService); innermost overall.
     /// Being last enforces the stream discipline: state is cloned *out*
     /// under this lock, mutated and persisted with no lock held, and
     /// committed back in — holding it across a store or WAL call panics.
-    Streams = 4,
+    Streams = 5,
 }
 
 impl LockRank {
     #[cfg(debug_assertions)]
     fn name(self) -> &'static str {
         match self {
+            LockRank::Checkpoint => "checkpoint_lock",
             LockRank::Save => "save_lock",
             LockRank::Specs => "specs",
             LockRank::Runs => "runs",
@@ -76,8 +83,8 @@ mod held {
                 assert!(
                     worst < rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while `{}` (rank {}) is \
-                     held; the store's order is save_lock → specs → runs → persist_fp_cache \
-                     (see store.rs and WFL002)",
+                     held; the order is checkpoint_lock → save_lock → specs → runs → \
+                     persist_fp_cache → streams (see lockrank.rs and WFL002)",
                     rank.name(),
                     rank as u8,
                     worst.name(),
@@ -202,6 +209,24 @@ impl<T> RankedMutex<T> {
     }
 }
 
+/// The checkpoint mutex of a derived index, at [`LockRank::Checkpoint`].
+/// A type of its own so the indexes can keep deriving `Default`.
+#[derive(Debug)]
+pub(crate) struct CheckpointLock(RankedMutex<()>);
+
+impl Default for CheckpointLock {
+    fn default() -> Self {
+        CheckpointLock(RankedMutex::new(LockRank::Checkpoint, ()))
+    }
+}
+
+impl CheckpointLock {
+    /// Acquires the mutex, rank-checked.
+    pub(crate) fn lock(&self) -> RankedGuard<impl DerefMut<Target = ()> + '_> {
+        self.0.lock()
+    }
+}
+
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
@@ -279,6 +304,24 @@ mod tests {
             }))
         });
         assert!(panic_message(result).contains("lock-rank violation"));
+    }
+
+    #[test]
+    fn checkpoint_lock_is_outermost() {
+        let checkpoint = CheckpointLock::default();
+        let save = RankedMutex::new(LockRank::Save, ());
+        {
+            let _c = checkpoint.lock();
+            let _s = save.lock();
+        }
+        let result = quiet_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let _s = save.lock();
+                let _c = checkpoint.lock(); // a checkpoint never starts under a save
+            }))
+        });
+        let msg = panic_message(result);
+        assert!(msg.contains("`checkpoint_lock`") && msg.contains("`save_lock`"), "{msg:?}");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use super::vptree::{MedoidPivots, QueryStats, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
+use crate::lockrank::CheckpointLock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use wfdiff_sptree::Fingerprint;
@@ -73,6 +74,9 @@ pub struct IncrementalMetricIndex {
     dirty_specs: Mutex<std::collections::BTreeSet<String>>,
     /// Set by [`Self::mark_dirty`]: every tracked spec must be re-appended.
     all_dirty: std::sync::atomic::AtomicBool,
+    /// Held by a checkpoint across take-dirty → build → append, so two
+    /// checkpoints append their records in the order they took the states.
+    pub(crate) checkpoint_lock: CheckpointLock,
 }
 
 impl IncrementalMetricIndex {

@@ -147,15 +147,20 @@ fn build_doc(spec: &str, state: &SpecMetricState, store: &WorkflowStore) -> Opti
 }
 
 /// Checkpoints the index by appending one [`MetricDeltaRecord`] per dirty
-/// spec to the store directory's write-ahead log — O(changed specs) — the
-/// exact discipline of [`crate::cluster::persist::save_wal`].  Returns the
-/// number of specs currently tracked by the index.
+/// spec to the store directory's write-ahead log — O(changed specs), with
+/// the dirty-set and checkpoint-lock discipline of
+/// [`crate::cluster::persist::save_wal`].  Unlike a cluster record, a
+/// metric record is the spec's whole tree (last write wins): a tree is O(n)
+/// in the member count, so there is no O(n²) memo to send as a delta.
+/// Returns the number of specs currently tracked by the index.
 pub(crate) fn save_wal(
     index: &IncrementalMetricIndex,
     store: &WorkflowStore,
     cost_key: u64,
     dir: &Path,
 ) -> Result<usize, PersistError> {
+    // Held across take → build → append: records land in state order.
+    let _checkpoint = index.checkpoint_lock.lock();
     let count = index.with_states(|states| states.len());
     let Some(dirty) = index.take_dirty_specs() else {
         return Ok(count);
@@ -182,8 +187,8 @@ pub(crate) fn save_wal(
 /// Folds WAL metric deltas into `dir/metric_index.json` during a full save,
 /// last-wins per spec; deltas keyed by a different cost model are dropped
 /// and an unreadable base file is treated as empty (the cache must never
-/// block a save) — the mirror of
-/// [`crate::cluster::persist::fold_wal_deltas`].
+/// block a save) — the whole-record counterpart of
+/// [`crate::cluster::persist::fold_wal_deltas`], which merges.
 pub(crate) fn fold_wal_deltas(
     io: &dyn StoreIo,
     dir: &Path,

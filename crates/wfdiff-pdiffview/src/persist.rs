@@ -23,8 +23,9 @@
 //!   deltas, each a length-prefixed checksummed record (see [`crate::wal`]).
 //!   [`WorkflowStore::load_from_dir`] replays it past the manifest state
 //!   (truncating a torn tail first), and a full save **folds** it — merges
-//!   the cluster deltas into `cluster_cache.json`, commits the snapshot,
-//!   truncates the log to zero.
+//!   the cluster deltas (journaled memo entries, merged onto the previous
+//!   entry) into `cluster_cache.json`, commits the snapshot, truncates the
+//!   log to zero.
 //! * Each specification directory is keyed by a slug of the name plus the
 //!   first 8 hex digits of the spec's **canonical persistent fingerprint**
 //!   (the arena fingerprint of the specification *as rebuilt from its
@@ -579,10 +580,14 @@ impl WorkflowStore {
             });
         }
 
-        // Fold the WAL's cluster and metric deltas into `cluster_cache.json`
-        // and `metric_index.json` before the commit point.  A crash after this merge is safe on both sides of
-        // the manifest rename: the cache is validated entry by entry on
-        // load, and the still-untruncated WAL replays to the same state.
+        // Fold the WAL's deltas before the commit point: each cluster record
+        // is merged onto its spec's entry in `cluster_cache.json` (its
+        // journaled entries onto the previous entry), and each metric record
+        // replaces its spec's entry in `metric_index.json`.  A crash after
+        // this is safe on both sides of the manifest rename: the caches are
+        // validated entry by entry on load, and merging the still-untruncated
+        // WAL again onto the folded file yields the same headers, carrying
+        // only distances that are still exact.
         let mut cluster_deltas: Vec<wal::ClusterDeltaRecord> = Vec::new();
         let mut metric_deltas: Vec<wal::MetricDeltaRecord> = Vec::new();
         // Stream events grouped per (spec, stream) in arrival order.  A

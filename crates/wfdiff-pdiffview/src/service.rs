@@ -679,8 +679,9 @@ impl DiffService {
     /// Checkpoints the cluster index by appending one delta record per
     /// changed spec to the store directory's write-ahead log (see
     /// [`crate::cluster::persist`] and [`crate::wal`]) — O(changed specs),
-    /// not a whole `cluster_cache.json` rewrite; the next full save folds
-    /// the deltas into the file.  Returns the number of tracked specs.
+    /// not a whole `cluster_cache.json` rewrite, and each record carries
+    /// only the memo entries added since the spec's last checkpoint; the
+    /// next full save folds the deltas into the file.  Returns the number of tracked specs.
     /// When nothing changed since the last successful checkpoint the append
     /// is skipped entirely, so calling this after every query is cheap.
     pub fn save_cluster_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {

@@ -20,7 +20,8 @@
 //! Never acquire `specs` while holding `runs`.
 //!
 //! The full rank order across every store lock is `save_lock` → `specs` →
-//! `runs` → `persist_fp_cache`.  This is enforced twice: statically by
+//! `runs` → `persist_fp_cache`; a derived index's `checkpoint_lock` ranks
+//! before all of them, because its checkpoint appends under `save_lock`.  This is enforced twice: statically by
 //! `wfdiff-lint`'s WFL002 rule, and dynamically by the
 //! `lockrank` module's wrappers around these fields, which panic on any
 //! out-of-order acquisition when `debug_assertions` are on.

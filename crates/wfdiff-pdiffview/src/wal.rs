@@ -32,9 +32,13 @@
 //! version the manifest no longer lists is skipped (the record predates a
 //! spec replacement whose full save crashed before the WAL truncation).
 //! Cluster-delta records are consumed by
-//! [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state),
-//! which overlays them (last write wins per spec) on `cluster_cache.json`
-//! and validates the result like any checkpoint entry.
+//! [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state).
+//! Each carries one spec's clustering header and the memo entries journaled
+//! since that spec's previous checkpoint; load merges it onto the spec's
+//! previous entry (from `cluster_cache.json` or an earlier record) and
+//! validates the merged entry like any checkpoint entry (see
+//! [`crate::cluster::persist`]).  Metric-index delta records are whole
+//! per-spec trees, last write wins.
 //!
 //! A full save **folds** the log: cluster deltas are merged into
 //! `cluster_cache.json`, metric-index deltas into `metric_index.json`, the
@@ -59,7 +63,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const WAL_FILE: &str = "wal.log";
 
 /// Upper bound on one record's `len` field; anything larger is treated as a
-/// torn tail rather than trusted as an allocation size.
+/// torn tail rather than trusted as an allocation size, and an append that
+/// would write one fails with [`PersistError::Format`].
 const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Bytes of framing before each record's body.
@@ -95,12 +100,15 @@ pub(crate) struct RunRemoveRecord {
     pub(crate) name: String,
 }
 
-/// One specification's updated cluster checkpoint entry (last write wins).
+/// One specification's cluster checkpoint: the full clustering header and
+/// the memo entries journaled since the spec's previous checkpoint, merged
+/// onto the previous entry on replay.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct ClusterDeltaRecord {
     /// Cost-model cache key the distances were computed under.
     pub(crate) cost_key: u64,
-    /// The checkpoint entry, exactly as `cluster_cache.json` would hold it.
+    /// The entry in `cluster_cache.json`'s shape, its `distances` limited
+    /// to the journaled ones.
     pub(crate) doc: SpecClusterDoc,
 }
 
@@ -180,7 +188,12 @@ pub(crate) fn wal_path(dir: &Path) -> std::path::PathBuf {
     dir.join(WAL_FILE)
 }
 
-fn encode_one(path: &Path, record: &WalRecord, out: &mut Vec<u8>) -> Result<(), PersistError> {
+fn encode_one(
+    path: &Path,
+    record: &WalRecord,
+    max_record_bytes: u32,
+    out: &mut Vec<u8>,
+) -> Result<(), PersistError> {
     let (kind, payload) = match record {
         WalRecord::RunInsert(r) => (KIND_RUN_INSERT, serde_json::to_string(r)),
         WalRecord::RunRemove(r) => (KIND_RUN_REMOVE, serde_json::to_string(r)),
@@ -192,7 +205,12 @@ fn encode_one(path: &Path, record: &WalRecord, out: &mut Vec<u8>) -> Result<(), 
         .map_err(|source| PersistError::Json { path: path.to_path_buf(), source })?
         .into_bytes();
     let len = 1 + payload.len();
-    assert!(len <= MAX_RECORD_BYTES as usize, "WAL record exceeds the framing bound");
+    if len > max_record_bytes as usize {
+        return Err(PersistError::Format {
+            path: path.to_path_buf(),
+            what: format!("a {len}-byte record exceeds the {max_record_bytes}-byte WAL bound"),
+        });
+    }
     let mut body = Vec::with_capacity(len);
     body.push(kind);
     body.extend_from_slice(&payload);
@@ -204,15 +222,27 @@ fn encode_one(path: &Path, record: &WalRecord, out: &mut Vec<u8>) -> Result<(), 
 
 /// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
 /// durability cost of a hot-path mutation).  Returns the bytes appended.
+/// A record over [`MAX_RECORD_BYTES`] fails the whole batch before anything
+/// is written.
 pub(crate) fn append(
     io: &dyn StoreIo,
     dir: &Path,
     records: &[WalRecord],
 ) -> Result<u64, PersistError> {
+    append_within(io, dir, records, MAX_RECORD_BYTES)
+}
+
+/// [`append`] with an explicit per-record bound.
+fn append_within(
+    io: &dyn StoreIo,
+    dir: &Path,
+    records: &[WalRecord],
+    max_record_bytes: u32,
+) -> Result<u64, PersistError> {
     let path = wal_path(dir);
     let mut buf = Vec::new();
     for record in records {
-        encode_one(&path, record, &mut buf)?;
+        encode_one(&path, record, max_record_bytes, &mut buf)?;
     }
     if buf.is_empty() {
         return Ok(0);
@@ -510,6 +540,20 @@ mod tests {
         let scan = scan(dir.path()).unwrap();
         assert_eq!(scan.records.len(), 0, "checksum rejects the flipped byte");
         assert_eq!(scan.valid_len, 0);
+    }
+
+    #[test]
+    fn an_over_bound_record_is_an_error_and_appends_nothing() {
+        let dir = TempDir::new("over-bound");
+        let first = append(&RealIo, dir.path(), &[insert_record("r1")]).unwrap();
+        let bound = u32::try_from(first).unwrap();
+        // A batch whose second record is longer than the bound: the first
+        // fits, but nothing of the batch may reach the log.
+        let batch = [insert_record("r2"), insert_record(&"x".repeat(first as usize))];
+        let err = append_within(&RealIo, dir.path(), &batch, bound).unwrap_err();
+        assert!(matches!(err, PersistError::Format { .. }), "{err}");
+        assert_eq!(std::fs::metadata(wal_path(dir.path())).unwrap().len(), first);
+        assert_eq!(scan(dir.path()).unwrap().records.len(), 1);
     }
 
     #[test]

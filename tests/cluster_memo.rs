@@ -13,9 +13,16 @@
 //! * **Allocation:** one streamed insert into a settled 400-member state
 //!   allocates O(n) times, not once per memo lookup, counted by this
 //!   binary's global allocator.
+//! * **Journaled records:** a checkpoint after one insert into a settled
+//!   200-member state appends under a tenth of the first, whole-memo
+//!   record.  A chain of such records (a same-name replacement, a removal
+//!   and a threshold fold among them), a failed append, and two
+//!   checkpoints racing an insert each reload into the live snapshot and
+//!   memo.
 
 use pdiffview::pdiffview::cluster::incremental::DistanceOracle;
 use pdiffview::pdiffview::cluster::{kmedoids, CLUSTER_CACHE_FORMAT};
+use pdiffview::pdiffview::{wal, RealIo, StoreIo};
 use pdiffview::pdiffview::{ClusterSnapshot, IncrementalClusterIndex, KMedoidsConfig};
 use pdiffview::prelude::*;
 use pdiffview::workloads::runs::generate_run_families;
@@ -25,7 +32,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use wfdiff_sptree::Fingerprint;
 
 /// Counts allocations per thread, so tests running in parallel do not see
@@ -338,4 +346,287 @@ fn a_streamed_insert_allocates_o_n_not_per_memo_lookup() {
     let scratch = IncrementalClusterIndex::new();
     let expected = scratch.ensure("s", version, &names, K, 1, &oracle).unwrap();
     assert_eq!(index.snapshot("s").unwrap(), expected);
+}
+
+/// A store over `io` holding `runs` of the Fig. 14 spec, saved to `dir` with
+/// threshold folds off, and a default-cost service over it.
+fn durable_store(
+    dir: &Path,
+    io: Arc<dyn StoreIo>,
+    spec: &Specification,
+    runs: &[(String, Run)],
+) -> (Arc<WorkflowStore>, DiffService) {
+    let store = Arc::new(WorkflowStore::with_io(io));
+    store.set_wal_fold_threshold(0);
+    store.insert_spec(spec.clone()).unwrap();
+    for (name, run) in runs {
+        store.insert_run(name, run.clone()).unwrap();
+    }
+    store.save_to_dir(dir).unwrap();
+    let svc = DiffService::new(Arc::clone(&store));
+    (store, svc)
+}
+
+/// Inserts `run` as `name` in memory and in the WAL, and tells the index.
+fn durable_insert(store: &WorkflowStore, svc: &DiffService, dir: &Path, name: &str, run: &Run) {
+    let stored = store.insert_run(name, run.clone()).unwrap();
+    store.append_run_to_dir(dir, name, &stored).unwrap();
+    svc.notify_run_inserted(SPEC, name);
+}
+
+/// Bytes of valid records in `dir`'s WAL.
+fn wal_bytes(dir: &Path) -> u64 {
+    wal::inspect(dir).unwrap().bytes
+}
+
+/// Asserts that a fresh service over `dir` restores `live`'s clustering of
+/// the Fig. 14 spec and its whole memo.
+fn assert_restart_restores(dir: &Path, live: &DiffService) {
+    let restarted = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir).unwrap()));
+    let report = restarted.load_cluster_state(dir);
+    assert_eq!((report.loaded, report.stale), (1, 0));
+    let want = live.cluster_index().snapshot(SPEC).unwrap();
+    let got = restarted.cluster_index().snapshot(SPEC).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+    assert_eq!(got.silhouette.to_bits(), want.silhouette.to_bits());
+    assert_eq!(
+        restarted.cluster_index().memoized_distances(SPEC),
+        live.cluster_index().memoized_distances(SPEC),
+        "the restored memo is the live one"
+    );
+}
+
+#[test]
+fn a_checkpoint_after_one_insert_carries_only_the_new_distances() {
+    const PER_FAMILY: usize = 50;
+    const K: usize = 4;
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5123);
+    let spec = random_specification(
+        SPEC,
+        &SpecGenConfig { target_edges: 30, series_parallel_ratio: 1.0, forks: 2, loops: 2 },
+        &mut rng,
+    );
+    let config = RunGenConfig { prob_p: 0.8, max_f: 3, prob_f: 0.6, max_l: 3, prob_l: 0.6 };
+    let families = generate_run_families(&spec, &config, K, PER_FAMILY + 1, &mut rng);
+    let runs: Vec<(String, Run)> = (0..K * PER_FAMILY)
+        .map(|index| (run_name(index, index % K), families[index % K][index / K].clone()))
+        .collect();
+    let dir = TempDir::new("record-size");
+    let (store, svc) = durable_store(dir.path(), Arc::new(RealIo), &spec, &runs);
+    assert_eq!(svc.cluster_medoids(SPEC, K, SEED).unwrap().clusters.len(), K);
+
+    let base = wal_bytes(dir.path());
+    svc.save_cluster_state(dir.path()).unwrap();
+    let whole = wal_bytes(dir.path()) - base;
+
+    let name = run_name(K * PER_FAMILY, 0);
+    let stored = store.insert_run(&name, families[0][PER_FAMILY].clone()).unwrap();
+    store.append_run_to_dir(dir.path(), &name, &stored).unwrap();
+    svc.notify_run_inserted(SPEC, &name);
+    let before = wal_bytes(dir.path());
+    svc.save_cluster_state(dir.path()).unwrap();
+    let delta = wal_bytes(dir.path()) - before;
+    assert!(10 * delta < whole, "one insert's record is {delta} B; the whole memo's {whole} B");
+    assert_restart_restores(dir.path(), &svc);
+}
+
+#[test]
+fn a_chain_of_journaled_records_restores_the_live_memo() {
+    let (spec, families) = fig14_families();
+    let run_of = |index: usize| families[index % FAMILIES][index / FAMILIES].clone();
+    let name_of = |index: usize| run_name(index, index % FAMILIES);
+    let runs: Vec<(String, Run)> =
+        (0..2 * FAMILIES).map(|index| (name_of(index), run_of(index))).collect();
+    let dir = TempDir::new("chain");
+    let (store, svc) = durable_store(dir.path(), Arc::new(RealIo), &spec, &runs);
+    svc.cluster_medoids(SPEC, FAMILIES, SEED).unwrap();
+    svc.save_cluster_state(dir.path()).unwrap();
+
+    for index in 2 * FAMILIES..FAMILIES * PER_FAMILY {
+        durable_insert(&store, &svc, dir.path(), &name_of(index), &run_of(index));
+        if index == 9 {
+            // One threshold fold midway: the checkpoint's append folds the
+            // chain so far into `cluster_cache.json`.
+            store.set_wal_fold_threshold(1);
+            let folds = store.wal_stats().folds_total;
+            svc.save_cluster_state(dir.path()).unwrap();
+            assert_eq!(store.wal_stats().folds_total, folds + 1);
+            store.set_wal_fold_threshold(0);
+        } else {
+            svc.save_cluster_state(dir.path()).unwrap();
+        }
+    }
+    // A same-name replacement: a family-1 member takes family-2 content, so
+    // its memoised distances to its old family (zero) are stale, and the
+    // clustering never fetches them again.
+    let replaced = name_of(4);
+    let snapshot = svc.cluster_index().snapshot(SPEC).unwrap();
+    assert!(snapshot.clusters.iter().all(|c| c.medoid != replaced));
+    durable_insert(&store, &svc, dir.path(), &replaced, &families[2][0]);
+    svc.save_cluster_state(dir.path()).unwrap();
+    // A removal, then one more insert.
+    let gone = name_of(7);
+    assert!(store.remove_run(SPEC, &gone));
+    store.append_run_removal_to_dir(dir.path(), SPEC, &gone).unwrap();
+    svc.notify_run_removed(SPEC, &gone);
+    svc.save_cluster_state(dir.path()).unwrap();
+    durable_insert(&store, &svc, dir.path(), &run_name(90, 0), &families[0][1]);
+    svc.save_cluster_state(dir.path()).unwrap();
+
+    assert!(wal::inspect(dir.path()).unwrap().cluster_deltas >= 4, "a chain of records");
+    assert_restart_restores(dir.path(), &svc);
+}
+
+/// Real I/O whose WAL appends fail while `fail` is set.
+#[derive(Debug, Default)]
+struct FailingIo {
+    fail: AtomicBool,
+}
+
+impl StoreIo for FailingIo {
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.create_dir_all(path)
+    }
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealIo.write_file(path, bytes)
+    }
+    fn append_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        if self.fail.load(Ordering::Acquire) {
+            return Err(std::io::Error::other("injected append failure"));
+        }
+        RealIo.append_file(path, bytes)
+    }
+    fn fsync_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.fsync_file(path)
+    }
+    fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.fsync_dir(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealIo.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_file(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_dir_all(path)
+    }
+    fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        RealIo.truncate_file(path, len)
+    }
+}
+
+#[test]
+fn a_failed_checkpoint_append_loses_no_memo_entry() {
+    let (spec, families) = fig14_families();
+    let run_of = |index: usize| families[index % FAMILIES][index / FAMILIES].clone();
+    let runs: Vec<(String, Run)> =
+        (0..2 * FAMILIES).map(|index| (run_name(index, index % FAMILIES), run_of(index))).collect();
+    let dir = TempDir::new("failed-append");
+    let io = Arc::new(FailingIo::default());
+    let (store, svc) = durable_store(dir.path(), Arc::clone(&io) as Arc<dyn StoreIo>, &spec, &runs);
+    svc.cluster_medoids(SPEC, FAMILIES, SEED).unwrap();
+    svc.save_cluster_state(dir.path()).unwrap();
+
+    let index = 2 * FAMILIES;
+    durable_insert(&store, &svc, dir.path(), &run_name(index, index % FAMILIES), &run_of(index));
+    io.fail.store(true, Ordering::Release);
+    assert!(svc.save_cluster_state(dir.path()).is_err(), "the injected failure surfaces");
+    io.fail.store(false, Ordering::Release);
+    let index = index + 1;
+    durable_insert(&store, &svc, dir.path(), &run_name(index, index % FAMILIES), &run_of(index));
+    svc.save_cluster_state(dir.path()).unwrap();
+    assert_restart_restores(dir.path(), &svc);
+}
+
+/// Real I/O that, once armed, holds the next WAL append at a gate: it
+/// meets `arrived` and then waits for `release`.
+#[derive(Debug)]
+struct GateIo {
+    armed: AtomicBool,
+    arrived: Barrier,
+    release: Barrier,
+}
+
+impl StoreIo for GateIo {
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.create_dir_all(path)
+    }
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        RealIo.write_file(path, bytes)
+    }
+    fn append_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            self.arrived.wait();
+            self.release.wait();
+        }
+        RealIo.append_file(path, bytes)
+    }
+    fn fsync_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.fsync_file(path)
+    }
+    fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.fsync_dir(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealIo.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_file(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_dir_all(path)
+    }
+    fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        RealIo.truncate_file(path, len)
+    }
+}
+
+#[test]
+fn a_checkpoint_waits_for_the_one_before_it_to_append() {
+    let (spec, families) = fig14_families();
+    let run_of = |index: usize| families[index % FAMILIES][index / FAMILIES].clone();
+    let name_of = |index: usize| run_name(index, index % FAMILIES);
+    let runs: Vec<(String, Run)> =
+        (0..2 * FAMILIES).map(|index| (name_of(index), run_of(index))).collect();
+    let dir = TempDir::new("ordered");
+    let io = Arc::new(GateIo {
+        armed: AtomicBool::new(false),
+        arrived: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let (store, svc) = durable_store(dir.path(), Arc::clone(&io) as Arc<dyn StoreIo>, &spec, &runs);
+    svc.cluster_medoids(SPEC, FAMILIES, SEED).unwrap();
+    svc.save_cluster_state(dir.path()).unwrap();
+    let first = 2 * FAMILIES;
+    durable_insert(&store, &svc, dir.path(), &name_of(first), &run_of(first));
+
+    // The first checkpoint stops inside its append.  Meanwhile two more
+    // runs arrive in memory (their WAL records follow once the log is
+    // free) and a second checkpoint starts between them.
+    io.armed.store(true, Ordering::Release);
+    let late = [first + 1, first + 2];
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| svc.save_cluster_state(dir.path()));
+        io.arrived.wait();
+        store.insert_run(&name_of(late[0]), run_of(late[0])).unwrap();
+        svc.notify_run_inserted(SPEC, &name_of(late[0]));
+        let b = scope.spawn(|| svc.save_cluster_state(dir.path()));
+        // Let the second checkpoint reach whatever it blocks on.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        store.insert_run(&name_of(late[1]), run_of(late[1])).unwrap();
+        svc.notify_run_inserted(SPEC, &name_of(late[1]));
+        io.release.wait();
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+    });
+    for index in late {
+        let run = store.run(SPEC, &name_of(index)).unwrap();
+        store.append_run_to_dir(dir.path(), &name_of(index), &run).unwrap();
+    }
+    // The second checkpoint took the state after the first one appended,
+    // so its record holds both late runs: the last record is the live
+    // state.
+    assert_restart_restores(dir.path(), &svc);
 }

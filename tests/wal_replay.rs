@@ -3,8 +3,10 @@
 //! *durably* (WAL appends, with and without threshold folds) must, after a
 //! reload that replays the log, reproduce the exact distance matrix and
 //! k-medoids partition of the same operations applied directly to an
-//! in-memory store.
+//! in-memory store — and, after one last checkpoint, restore the live
+//! clustering from the chain of journaled cluster records.
 
+use pdiffview::pdiffview::RunDescriptor;
 use pdiffview::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng as _, SeedableRng};
@@ -93,18 +95,29 @@ proptest! {
         let script = interleaving(seed, op_count);
 
         // Durable store: initial checkpoint, then every mutation through
-        // the WAL.  Odd seeds fold aggressively mid-sequence (tiny
-        // threshold), even seeds never fold — replay must not care.
+        // the WAL, served from the loaded directory as a restarted server
+        // does (so its specification version is the one a reload sees).
+        // Odd seeds fold aggressively mid-sequence (tiny threshold), even
+        // seeds never fold — replay must not care.
         let dir = CaseDir::new(seed);
-        let durable = Arc::new(WorkflowStore::new());
-        durable.set_wal_fold_threshold(if seed % 2 == 1 { 256 } else { 0 });
-        let durable_spec = durable.insert_spec(prop_spec(seed)).expect("fresh spec");
+        let initial = WorkflowStore::new();
+        let initial_spec = initial.insert_spec(prop_spec(seed)).expect("fresh spec");
         for index in 0..3 {
-            durable
-                .insert_run(&format!("run{index:03}"), prop_run(&durable_spec, seed, index))
+            initial
+                .insert_run(&format!("run{index:03}"), prop_run(&initial_spec, seed, index))
                 .expect("initial run");
         }
-        durable.save_to_dir(&dir.0).expect("initial save");
+        initial.save_to_dir(&dir.0).expect("initial save");
+        let durable = Arc::new(WorkflowStore::load_from_dir(&dir.0).expect("initial load"));
+        durable.set_wal_fold_threshold(if seed % 2 == 1 { 256 } else { 0 });
+        let durable_spec = durable.spec(SPEC).expect("loaded spec");
+        // Runs are generated on the in-memory specification (the reference
+        // store's twin) and rebound to the loaded version by descriptor.
+        let durable_run = |index: usize| {
+            RunDescriptor::from_run(&prop_run(&initial_spec, seed, index))
+                .to_run(&durable_spec)
+                .expect("the loaded spec accepts its own runs")
+        };
         let durable_service = DiffService::new(Arc::clone(&durable));
 
         // Reference store: the same operations, purely in memory.
@@ -121,7 +134,7 @@ proptest! {
                 Op::Insert(index) => {
                     let name = format!("run{index:03}");
                     let run = durable
-                        .insert_run(&name, prop_run(&durable_spec, seed, *index))
+                        .insert_run(&name, durable_run(*index))
                         .expect("durable insert");
                     durable.append_run_to_dir(&dir.0, &name, &run).expect("WAL append");
                     durable_service.notify_run_inserted(SPEC, &name);
@@ -145,6 +158,10 @@ proptest! {
             }
         }
 
+        // One last checkpoint, so the log's newest cluster record is the
+        // live state.
+        durable_service.save_cluster_state(&dir.0).expect("final cluster delta append");
+
         // Reload: manifest + WAL replay must reconstruct the same store.
         let reloaded = Arc::new(WorkflowStore::load_from_dir(&dir.0).expect("replayed load"));
         let mut got_runs = reloaded.run_names(SPEC);
@@ -155,6 +172,13 @@ proptest! {
 
         let reloaded_service = DiffService::new(Arc::clone(&reloaded));
         reloaded_service.load_cluster_state(&dir.0);
+        // The merged records restore the live clustering, and a memo holding
+        // at least the live entries (a run removed and re-added with the
+        // same content between checkpoints keeps its earlier distances).
+        let live = durable_service.cluster_index();
+        let restored = reloaded_service.cluster_index();
+        prop_assert_eq!(restored.snapshot(SPEC), live.snapshot(SPEC));
+        prop_assert!(restored.memoized_distances(SPEC) >= live.memoized_distances(SPEC));
         let memory_service = DiffService::new(Arc::clone(&memory));
 
         let got = reloaded_service.diff_all_pairs(SPEC).expect("replayed all pairs");
