@@ -20,8 +20,8 @@
 //!
 //! store_tool wal <dir>
 //!     Print write-ahead-log record counts (inserts/removals/cluster
-//!     deltas), byte sizes and any torn-tail bytes, per shard when the
-//!     directory is sharded.
+//!     deltas/stream events), byte sizes and any torn-tail bytes, per shard
+//!     when the directory is sharded.
 //!
 //! store_tool checkpoint <dir>
 //!     Force a checkpoint fold: load each store (replaying its WAL), save
@@ -271,12 +271,12 @@ fn wal(args: &[String]) -> Result<(), ToolError> {
         let summary = wfdiff_pdiffview::wal::inspect(&path).map_err(|e| e.to_string())?;
         println!(
             "{label}: {} record(s) ({} insert(s), {} removal(s), {} cluster delta(s), \
-             {} metric delta(s)), {} byte(s), {} torn byte(s)",
+             {} stream event(s)), {} byte(s), {} torn byte(s)",
             summary.records,
             summary.run_inserts,
             summary.run_removes,
             summary.cluster_deltas,
-            summary.metric_deltas,
+            summary.stream_events,
             summary.bytes,
             summary.torn_bytes
         );

@@ -75,16 +75,6 @@ fn load_shard(dir: &Path, threads: usize) -> Result<(ShardEntry, usize, usize), 
             clusters.stale
         );
     }
-    // Same resume for the vantage-point metric index behind pruned /similar.
-    let metric = service.load_metric_state(dir);
-    if metric.loaded > 0 || metric.stale > 0 {
-        println!(
-            "wfdiff_serve metric index [{}]: {} tree(s) resumed, {} stale entr(ies) to rebuild",
-            dir.display(),
-            metric.loaded,
-            metric.stale
-        );
-    }
     // Rebuild the in-flight stream registry from the write-ahead log so
     // streams survive a restart (stale or finalised groups are skipped).
     let streams = service.load_streams(dir).map_err(|e| format!("{}: {e}", dir.display()))?;

@@ -39,8 +39,8 @@
 //!   runs stream in or out, and its optional on-disk checkpoint,
 //! * [`metricindex`] — the metric index behind pruned `GET /similar`
 //!   queries: a deterministic vantage-point tree per specification with
-//!   certified triangle-inequality pruning, maintained incrementally and
-//!   checkpointed as `metric_index.json`,
+//!   certified triangle-inequality pruning, maintained incrementally in
+//!   memory and rebuilt on demand after a restart,
 //! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`: a
 //!   non-blocking reactor feeds a bounded worker pool, specs are partitioned
 //!   across N store shards by a stable hash, and a lock-cheap metrics
@@ -93,10 +93,7 @@ pub use cluster::{
     KMedoids, KMedoidsConfig, RunCluster, DEFAULT_CLUSTER_SEED,
 };
 pub use io::{RunDescriptor, SpecDescriptor, DESCRIPTOR_FORMAT};
-pub use metricindex::{
-    IncrementalMetricIndex, MedoidPivots, MetricIndexReport, PruneStats, DEFAULT_METRIC_SEED,
-    METRIC_INDEX_FILE, METRIC_INDEX_FORMAT,
-};
+pub use metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats};
 pub use persist::{PersistError, SaveSummary, STORE_FORMAT};
 pub use render::{render_diff_dot, render_diff_text};
 pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle, ShardEntry, ShardRouter};

@@ -30,9 +30,10 @@ use std::ops::{Deref, DerefMut};
 /// [`WorkflowStore`](crate::store::WorkflowStore)'s fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum LockRank {
-    /// `checkpoint_lock` — one per derived index (cluster, metric); held
-    /// across a checkpoint's take-dirty → build → append, so checkpoint
-    /// records land in the WAL in the order their states were taken.
+    /// `checkpoint_lock` — the cluster index's, the only checkpointed
+    /// derived index; held across a checkpoint's take-dirty → build →
+    /// append, so checkpoint records land in the WAL in the order their
+    /// states were taken.
     /// Outermost: the append under it takes `save_lock`.
     Checkpoint = 0,
     /// `save_lock` — serialises whole saves; taken first among the store's

@@ -10,25 +10,23 @@
 //! [`IncrementalMetricIndex::remove_run`] removes leaf members in place.  A
 //! removal that hits a *pivot* — or a run replaced under an unchanged name,
 //! whose old distances shaped the tree — drops the specification's state;
-//! the next query rebuilds it.  Like the cluster index, every state is a
-//! cache of derived data: dropping one never loses information, and
-//! [`persist`](crate::metricindex::persist) checkpoints it beside the store
-//! so a restarted server resumes without re-differencing.
+//! the next query rebuilds it.
 //!
-//! Dirty tracking mirrors the cluster index record for record: mutations
-//! mark their specification dirty, and the persistence layer consumes the
-//! set to append one WAL delta per changed spec.
+//! Every state is in-memory derived data and is never persisted: pruned
+//! answers are certified identical to the exact sweep whatever shape the
+//! tree has, so a restarted server simply builds each specification's tree
+//! on that specification's first pruned query.
 
 use super::vptree::{MedoidPivots, QueryStats, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
-use crate::lockrank::CheckpointLock;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use wfdiff_sptree::Fingerprint;
 
-/// Default pivot-draw seed of the metric index; a constant so every server
-/// builds the same tree over the same store.
-pub const DEFAULT_METRIC_SEED: u64 = 0x9D17;
+/// Pivot-draw seed of every tree; a constant so every server builds the
+/// same tree over the same store.
+const METRIC_SEED: u64 = 0x9D17;
 
 /// Statistics of one pruned `/similar` query — how much work the triangle
 /// inequality saved, and under what guarantee.
@@ -49,16 +47,14 @@ pub struct PruneStats {
 }
 
 /// Per-specification metric-index state.
-#[derive(Debug, Clone)]
-pub(crate) struct SpecMetricState {
-    /// Seed of the pivot draw the tree was built with.
-    pub(crate) seed: u64,
+#[derive(Debug)]
+struct SpecMetricState {
     /// The specification version the tree was built against.
-    pub(crate) version: Fingerprint,
+    version: Fingerprint,
     /// Indexed runs, sorted by name.
-    pub(crate) members: Vec<String>,
+    members: Vec<String>,
     /// The vantage-point tree over `members`.
-    pub(crate) tree: VpTree,
+    tree: VpTree,
 }
 
 /// A thread-safe registry of per-specification vantage-point trees; see the
@@ -68,51 +64,12 @@ pub(crate) struct SpecMetricState {
 #[derive(Debug, Default)]
 pub struct IncrementalMetricIndex {
     states: Mutex<HashMap<String, SpecMetricState>>,
-    /// Set by every state mutation, consumed by the persistence layer.
-    dirty: std::sync::atomic::AtomicBool,
-    /// Specifications mutated since the last checkpoint.
-    dirty_specs: Mutex<std::collections::BTreeSet<String>>,
-    /// Set by [`Self::mark_dirty`]: every tracked spec must be re-appended.
-    all_dirty: std::sync::atomic::AtomicBool,
-    /// Held by a checkpoint across take-dirty → build → append, so two
-    /// checkpoints append their records in the order they took the states.
-    pub(crate) checkpoint_lock: CheckpointLock,
 }
 
 impl IncrementalMetricIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         IncrementalMetricIndex::default()
-    }
-
-    /// Marks the whole index as changed since the last checkpoint.
-    pub(crate) fn mark_dirty(&self) {
-        self.all_dirty.store(true, std::sync::atomic::Ordering::Release);
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks one specification's state as changed since the last checkpoint.
-    pub(crate) fn mark_spec_dirty(&self, spec: &str) {
-        self.dirty_specs.lock().insert(spec.to_string());
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Consumes the dirty state; see
-    /// [`IncrementalClusterIndex::take_dirty_specs`](crate::cluster::incremental::IncrementalClusterIndex)
-    /// for the contract.
-    pub(crate) fn take_dirty_specs(&self) -> Option<Vec<String>> {
-        if !self.dirty.swap(false, std::sync::atomic::Ordering::AcqRel) {
-            return None;
-        }
-        let all = self.all_dirty.swap(false, std::sync::atomic::Ordering::AcqRel);
-        let mut dirty: Vec<String> =
-            std::mem::take(&mut *self.dirty_specs.lock()).into_iter().collect();
-        if all {
-            dirty.extend(self.with_states(|states| states.keys().cloned().collect::<Vec<_>>()));
-            dirty.sort();
-            dirty.dedup();
-        }
-        Some(dirty)
     }
 
     /// The `k` nearest indexed runs to `query`, pruned by the triangle
@@ -137,35 +94,23 @@ impl IncrementalMetricIndex {
         k: usize,
         epsilon: f64,
         pivots: Option<&MedoidPivots>,
-        seed: u64,
         oracle: &O,
     ) -> Result<(Vec<(String, f64)>, PruneStats), O::Error> {
         let mut members: Vec<String> = run_names.to_vec();
         members.sort();
         members.dedup();
         let mut states = self.states.lock();
-        let fresh = states
-            .get(spec)
-            .is_some_and(|s| s.seed == seed && s.version == version && s.members == members);
-        if !fresh {
-            let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-            let tree = VpTree::build(&members, seed, &mut row)?;
-            states.insert(spec.to_string(), SpecMetricState { seed, version, members, tree });
-            self.mark_spec_dirty(spec);
+        if states.get(spec).is_some_and(|s| s.version != version || s.members != members) {
+            states.remove(spec);
         }
-        let Some(state) = states.get(spec) else {
-            // Unreachable — the branch above inserted or verified the state —
-            // but a serving process must not panic over it.
-            let stats = PruneStats {
-                distance_evals: 0,
-                nodes_visited: 0,
-                subtrees_pruned: 0,
-                members_pruned: 0,
-                approx_epsilon: epsilon,
-            };
-            return Ok((Vec::new(), stats));
-        };
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
+        let state = match states.entry(spec.to_string()) {
+            Entry::Occupied(fresh) => fresh.into_mut(),
+            Entry::Vacant(slot) => {
+                let tree = VpTree::build(&members, METRIC_SEED, &mut row)?;
+                slot.insert(SpecMetricState { version, members, tree })
+            }
+        };
         let (neighbors, query_stats) = state.tree.nearest(query, k, epsilon, pivots, &mut row)?;
         let QueryStats { distance_evals, nodes_visited, subtrees_pruned, members_pruned } =
             query_stats;
@@ -194,21 +139,18 @@ impl IncrementalMetricIndex {
         let Some(state) = states.get_mut(spec) else {
             return Ok(false);
         };
-        if state.version != version || state.members.binary_search(&run_name.to_string()).is_ok() {
+        let at = match state.members.binary_search_by(|m| m.as_str().cmp(run_name)) {
+            Err(at) if state.version == version => at,
             // A replaced specification or a replaced run: the distances the
             // tree was shaped by are stale.
-            states.remove(spec);
-            self.mark_spec_dirty(spec);
-            return Ok(false);
-        }
+            _ => {
+                states.remove(spec);
+                return Ok(false);
+            }
+        };
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
         state.tree.insert(run_name, &mut row)?;
-        let at = state
-            .members
-            .binary_search(&run_name.to_string())
-            .expect_err("name verified absent above");
         state.members.insert(at, run_name.to_string());
-        self.mark_spec_dirty(spec);
         Ok(true)
     }
 
@@ -222,7 +164,7 @@ impl IncrementalMetricIndex {
         let Some(state) = states.get_mut(spec) else {
             return false;
         };
-        let Ok(at) = state.members.binary_search(&run_name.to_string()) else {
+        let Ok(at) = state.members.binary_search_by(|m| m.as_str().cmp(run_name)) else {
             return false;
         };
         state.members.remove(at);
@@ -234,35 +176,17 @@ impl IncrementalMetricIndex {
                 states.remove(spec);
             }
         }
-        self.mark_spec_dirty(spec);
         true
     }
 
     /// Drops the state of one specification.
     pub fn invalidate(&self, spec: &str) {
-        if self.states.lock().remove(spec).is_some() {
-            self.mark_spec_dirty(spec);
-        }
-    }
-
-    /// Names of the specifications the index currently holds a tree for.
-    pub fn specs(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.states.lock().keys().cloned().collect();
-        names.sort();
-        names
+        self.states.lock().remove(spec);
     }
 
     /// The indexed member count for `spec` (testing/diagnostics).
     pub fn member_count(&self, spec: &str) -> usize {
         self.states.lock().get(spec).map(|s| s.members.len()).unwrap_or(0)
-    }
-
-    /// Internal access for the persistence layer.
-    pub(crate) fn with_states<T>(
-        &self,
-        f: impl FnOnce(&mut HashMap<String, SpecMetricState>) -> T,
-    ) -> T {
-        f(&mut self.states.lock())
     }
 }
 
@@ -331,16 +255,14 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let members = names(0..40);
-        let (got, stats) = index
-            .nearest("s", VERSION, &members, "p3", 5, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, stats) =
+            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 3, &members, 5));
         assert_eq!(stats.approx_epsilon, 0.0);
         let after_build = *oracle.fetches.borrow();
         // A repeat query rebuilds nothing: only query-time evals accrue.
-        let (again, stats) = index
-            .nearest("s", VERSION, &members, "p3", 5, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (again, stats) =
+            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(again, got);
         assert_eq!(*oracle.fetches.borrow() - after_build, stats.distance_evals);
         assert!(stats.distance_evals < members.len() - 1, "pruning beat the sweep");
@@ -351,25 +273,19 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let mut members = names(0..35);
-        index
-            .nearest("s", VERSION, &members, "p0", 3, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 3, 0.0, None, &oracle).unwrap();
         for i in 35..40 {
             assert!(index.insert_run("s", VERSION, &format!("p{i}"), &oracle).unwrap());
             members.push(format!("p{i}"));
         }
         assert_eq!(index.member_count("s"), 40);
         members.sort();
-        let (got, _) = index
-            .nearest("s", VERSION, &members, "p38", 6, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, _) = index.nearest("s", VERSION, &members, "p38", 6, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 38, &members, 6));
 
         assert!(index.remove_run("s", "p12"));
         members.retain(|n| n != "p12");
-        let (got, _) = index
-            .nearest("s", VERSION, &members, "p10", 4, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, _) = index.nearest("s", VERSION, &members, "p10", 4, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 10, &members, 4));
         assert!(!index.remove_run("s", "p12"), "already gone");
         assert!(!index.remove_run("other", "p0"));
@@ -380,33 +296,12 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let members = names(0..10);
-        index
-            .nearest("s", VERSION, &members, "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
         // Replaced run under an unchanged name: state dropped.
         assert!(!index.insert_run("s", VERSION, "p3", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0);
-        index
-            .nearest("s", VERSION, &members, "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
         assert!(!index.insert_run("s", Fingerprint(7), "p10", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0, "stale state was dropped");
-    }
-
-    #[test]
-    fn dirty_tracking_mirrors_the_cluster_index() {
-        let oracle = MatrixOracle::new(line());
-        let index = IncrementalMetricIndex::new();
-        assert!(index.take_dirty_specs().is_none(), "clean index skips the append");
-        index
-            .nearest("s", VERSION, &names(0..10), "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert!(index.take_dirty_specs().is_none());
-        index.mark_dirty();
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        index.invalidate("s");
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert!(index.specs().is_empty());
     }
 }

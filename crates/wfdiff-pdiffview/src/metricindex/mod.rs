@@ -9,9 +9,12 @@
 //!   (the latter reusing distances the cluster index already memoized),
 //! * [`incremental`] — [`IncrementalMetricIndex`], the per-specification
 //!   registry of trees that follows store inserts and removals alongside
-//!   the cluster notifications,
-//! * [`persist`] — the WAL-delta'd `metric_index.json` checkpoint,
-//!   validated against the live store exactly like `cluster_cache.json`.
+//!   the cluster notifications.
+//!
+//! The trees are in-memory derived state only.  Nothing is checkpointed: a
+//! restarted server builds a specification's tree on that specification's
+//! first pruned query, and a `metric_index.json` left in a store directory
+//! by an older version is ignored.
 //!
 //! Pruning is **certified**: a subtree or candidate is skipped only when a
 //! triangle-inequality bound proves it cannot enter the top-`k`, so the
@@ -21,9 +24,7 @@
 //! bound.
 
 pub mod incremental;
-pub mod persist;
 pub(crate) mod vptree;
 
-pub use incremental::{IncrementalMetricIndex, PruneStats, DEFAULT_METRIC_SEED};
-pub use persist::{MetricIndexReport, METRIC_INDEX_FILE, METRIC_INDEX_FORMAT};
+pub use incremental::{IncrementalMetricIndex, PruneStats};
 pub use vptree::MedoidPivots;

@@ -27,7 +27,7 @@
 //! consumed in pre-order, over members kept in sorted name order — the same
 //! member set and seed always build the same tree.  Incremental inserts
 //! descend without randomness and split overflowing leaves on their
-//! lexicographically first item, so a checkpointed tree reloads bit-for-bit.
+//! lexicographically first item.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,7 +41,7 @@ pub(crate) const LEAF_BUCKET: usize = 16;
 
 /// One node of a [`VpTree`], indexing into the tree's arena.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum VpNode {
+enum VpNode {
     /// A routing node: pivot run, radius, and the two subtrees.
     Inner {
         /// The pivot run's name.
@@ -70,9 +70,9 @@ pub(crate) enum VpNode {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct VpTree {
     /// Node arena; parents precede their children (pre-order ids).
-    pub(crate) nodes: Vec<VpNode>,
+    nodes: Vec<VpNode>,
     /// Arena index of the root, `None` for an empty tree.
-    pub(crate) root: Option<usize>,
+    root: Option<usize>,
 }
 
 /// Counters of one [`VpTree::nearest`] traversal.

@@ -580,16 +580,14 @@ impl WorkflowStore {
             });
         }
 
-        // Fold the WAL's deltas before the commit point: each cluster record
+        // Fold the WAL's cluster deltas before the commit point: each record
         // is merged onto its spec's entry in `cluster_cache.json` (its
-        // journaled entries onto the previous entry), and each metric record
-        // replaces its spec's entry in `metric_index.json`.  A crash after
-        // this is safe on both sides of the manifest rename: the caches are
-        // validated entry by entry on load, and merging the still-untruncated
-        // WAL again onto the folded file yields the same headers, carrying
-        // only distances that are still exact.
+        // journaled entries onto the previous entry).  A crash after this is
+        // safe on both sides of the manifest rename: the cache is validated
+        // entry by entry on load, and merging the still-untruncated WAL again
+        // onto the folded file yields the same headers, carrying only
+        // distances that are still exact.
         let mut cluster_deltas: Vec<wal::ClusterDeltaRecord> = Vec::new();
-        let mut metric_deltas: Vec<wal::MetricDeltaRecord> = Vec::new();
         // Stream events grouped per (spec, stream) in arrival order.  A
         // closure marker kills its group (those events are folded into the
         // finalised run); later records under the same key — a legal reuse
@@ -598,7 +596,6 @@ impl WorkflowStore {
         for record in wal_scan.records {
             match record {
                 wal::WalRecord::ClusterDelta(delta) => cluster_deltas.push(delta),
-                wal::WalRecord::MetricDelta(delta) => metric_deltas.push(delta),
                 wal::WalRecord::StreamEvent(event) => {
                     let key = (event.spec.clone(), event.stream.clone());
                     if event.event.is_none() {
@@ -613,7 +610,6 @@ impl WorkflowStore {
             }
         }
         crate::cluster::persist::fold_wal_deltas(&*self.io, dir, cluster_deltas)?;
-        crate::metricindex::persist::fold_wal_deltas(&*self.io, dir, metric_deltas)?;
 
         // Commit point: the manifest rename atomically switches loaders from
         // the previous state to this one.
@@ -1130,8 +1126,6 @@ impl WorkflowStore {
                 // overlays deltas on the checkpoint file and validates the
                 // result against this store.
                 wal::WalRecord::ClusterDelta(_) => replayed += 1,
-                // Likewise consumed by `DiffService::load_metric_state`.
-                wal::WalRecord::MetricDelta(_) => replayed += 1,
                 // Consumed by `DiffService::load_streams`, which rebuilds
                 // the in-flight `PartialRun`s from these records.
                 wal::WalRecord::StreamEvent(_) => replayed += 1,
@@ -1493,6 +1487,46 @@ mod tests {
         store.append_run_removal_to_dir(dir.path(), "no-such-spec", "r1").unwrap();
         assert_eq!(fs::metadata(&wal_file).unwrap().len(), before);
         assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 2);
+    }
+
+    #[test]
+    fn directories_with_retired_metric_checkpoints_load_without_loss() {
+        let dir = TempDir::new("retired-metric");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        let spec = store.spec("fig2").unwrap();
+        // What an older version left behind: a `metric_index.json` and a
+        // kind-4 record between two run inserts in the log.
+        let leftover = dir.path().join("metric_index.json");
+        fs::write(&leftover, r#"{"format":1,"cost_key":1,"specs":[]}"#).unwrap();
+        let r4 = store.insert_run("r4", fig2_run1(&spec)).unwrap();
+        store.append_run_to_dir(dir.path(), "r4", &r4).unwrap();
+        let mut retired = Vec::new();
+        crate::wal::frame_into(4, br#"{"cost_key":1,"doc":{"spec":"fig2"}}"#, &mut retired);
+        RealIo.append_file(&crate::wal::wal_path(dir.path()), &retired).unwrap();
+        let r5 = store.insert_run("r5", fig2_run2(&spec)).unwrap();
+        store.append_run_to_dir(dir.path(), "r5", &r5).unwrap();
+        let wal_len = fs::metadata(crate::wal::wal_path(dir.path())).unwrap().len();
+
+        let loaded = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
+        assert_eq!(loaded.run_count(), 5, "both inserts replayed");
+        assert_eq!(loaded.wal_stats().replayed_records, 2);
+        assert_eq!(
+            fs::metadata(crate::wal::wal_path(dir.path())).unwrap().len(),
+            wal_len,
+            "nothing truncated"
+        );
+        let service = DiffService::new(Arc::clone(&loaded));
+        let exact = service.nearest_runs("fig2", "r5", 2).unwrap();
+        let (pruned, _) = service.nearest_runs_pruned("fig2", "r5", 2, 0.0).unwrap();
+        assert_eq!(exact, pruned);
+
+        // A full save folds the retired frame away and leaves the inert
+        // file as it was.
+        loaded.save_to_dir(dir.path()).unwrap();
+        assert_eq!(crate::wal::inspect(dir.path()).unwrap().bytes, 0);
+        assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 5);
+        assert!(leftover.exists());
     }
 
     #[test]

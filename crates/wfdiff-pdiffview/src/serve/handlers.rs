@@ -434,8 +434,7 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
                 ));
             }
         };
-    let shard = state.shard(spec);
-    let service = shard.service();
+    let service = state.shard(spec).service();
     let mut response = SimilarResponse {
         spec: spec.to_string(),
         run: run.to_string(),
@@ -454,11 +453,6 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
         response.subtrees_pruned = stats.subtrees_pruned as u64;
         response.members_pruned = stats.members_pruned as u64;
         state.metrics.similar_pruned().inc();
-        // Checkpoint the (possibly just-built) tree as a WAL delta; cheap
-        // when nothing changed, best-effort like the cluster checkpoint.
-        if let Some(dir) = shard.dir() {
-            let _ = service.save_metric_state(dir);
-        }
         neighbors
     } else {
         let neighbors = service.nearest_runs(spec, run, k)?;

@@ -24,10 +24,7 @@ use crate::cluster::persist::{
     load as load_cluster_cache, save_wal as save_cluster_cache, ClusterCacheReport,
 };
 use crate::lockrank::{LockRank, RankedRwLock};
-use crate::metricindex::persist::{load as load_metric_cache, save_wal as save_metric_cache};
-use crate::metricindex::{
-    IncrementalMetricIndex, MedoidPivots, MetricIndexReport, PruneStats, DEFAULT_METRIC_SEED,
-};
+use crate::metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats};
 use crate::persist::PersistError;
 use crate::session::DiffSession;
 use crate::store::WorkflowStore;
@@ -599,7 +596,6 @@ impl DiffService {
             k,
             epsilon,
             pivots.as_ref(),
-            DEFAULT_METRIC_SEED,
             &oracle,
         )?;
         let neighbors = neighbors
@@ -701,20 +697,17 @@ impl DiffService {
         load_cluster_cache(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
-    /// Checkpoints the metric index as WAL delta records — the
-    /// `metric_index.json` analogue of [`DiffService::save_cluster_state`],
-    /// with the same O(changed specs) cost and skip-when-clean behaviour.
-    /// Returns the number of tracked specs.
-    pub fn save_metric_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
-        save_metric_cache(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
+    /// A no-op kept for the repository benchmark's call sites: the metric
+    /// index is never checkpointed.
+    #[doc(hidden)]
+    pub fn save_metric_state(&self, _dir: impl AsRef<Path>) -> Result<(), PersistError> {
+        Ok(())
     }
 
-    /// Restores a metric-index checkpoint from `dir`, validating every tree
-    /// against the live store (stale or corrupt entries are skipped and
-    /// rebuilt on demand — this never fails the boot).
-    pub fn load_metric_state(&self, dir: impl AsRef<Path>) -> MetricIndexReport {
-        load_metric_cache(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
-    }
+    /// A no-op kept for the repository benchmark's call sites: a restarted
+    /// service builds each tree on its specification's first pruned query.
+    #[doc(hidden)]
+    pub fn load_metric_state(&self, _dir: impl AsRef<Path>) {}
 
     /// Validates and commits one batch of node-lifecycle events on an
     /// in-flight stream, creating the stream if it does not exist yet — the

@@ -14,13 +14,14 @@
 //!
 //! `len` counts the kind byte plus the payload; `crc32` (IEEE) covers the
 //! kind byte plus the payload.  Kinds: 1 = run insert, 2 = run remove,
-//! 3 = cluster delta, 4 = metric-index delta, 5 = stream event (one
-//! node-lifecycle event of an in-flight streamed run).  A record is valid
-//! only if its
-//! header fits, its length
-//! is sane, its checksum matches and its payload deserialises; the **first**
-//! invalid record ends the log — everything from its offset on is a torn
-//! tail (a crashed append) and is truncated by the next
+//! 3 = cluster delta, 5 = stream event (one node-lifecycle event of an
+//! in-flight streamed run).  Kind 4 is **retired**: older versions wrote
+//! metric-index deltas under it, and a checksum-valid kind-4 frame is
+//! stepped over without decoding, so the records after it still replay.
+//! A record is valid only if its header fits, its length is sane, its
+//! checksum matches and its payload deserialises; the **first** invalid
+//! record ends the log — everything from its offset on is a torn tail (a
+//! crashed append) and is truncated by the next
 //! [`WorkflowStore::load_from_dir`].
 //!
 //! # Replay semantics
@@ -37,14 +38,13 @@
 //! since that spec's previous checkpoint; load merges it onto the spec's
 //! previous entry (from `cluster_cache.json` or an earlier record) and
 //! validates the merged entry like any checkpoint entry (see
-//! [`crate::cluster::persist`]).  Metric-index delta records are whole
-//! per-spec trees, last write wins.
+//! [`crate::cluster::persist`]).
 //!
 //! A full save **folds** the log: cluster deltas are merged into
-//! `cluster_cache.json`, metric-index deltas into `metric_index.json`, the
-//! snapshot is committed via the manifest rename, and the WAL is truncated
-//! to zero.  The fold runs automatically once the
-//! log grows past [`WorkflowStore::set_wal_fold_threshold`].
+//! `cluster_cache.json`, the snapshot is committed via the manifest rename,
+//! and the WAL is truncated to zero (dropping any retired kind-4 frames).
+//! The fold runs automatically once the log grows past
+//! [`WorkflowStore::set_wal_fold_threshold`].
 //!
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
@@ -52,7 +52,6 @@
 
 use crate::cluster::persist::SpecClusterDoc;
 use crate::io::RunDescriptor;
-use crate::metricindex::persist::SpecMetricDoc;
 use crate::persist::PersistError;
 use crate::storeio::StoreIo;
 use serde::{Deserialize, Serialize};
@@ -73,7 +72,8 @@ const HEADER_BYTES: usize = 8;
 const KIND_RUN_INSERT: u8 = 1;
 const KIND_RUN_REMOVE: u8 = 2;
 const KIND_CLUSTER_DELTA: u8 = 3;
-const KIND_METRIC_DELTA: u8 = 4;
+/// Retired: metric-index deltas, written by older versions; stepped over.
+const KIND_RETIRED_METRIC_DELTA: u8 = 4;
 const KIND_STREAM_EVENT: u8 = 5;
 
 /// A run insert: enough to rebuild and re-validate the run at replay time.
@@ -112,16 +112,6 @@ pub(crate) struct ClusterDeltaRecord {
     pub(crate) doc: SpecClusterDoc,
 }
 
-/// One specification's updated metric-index checkpoint entry (last write
-/// wins), the vantage-point-tree analogue of [`ClusterDeltaRecord`].
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct MetricDeltaRecord {
-    /// Cost-model cache key the distances were computed under.
-    pub(crate) cost_key: u64,
-    /// The checkpoint entry, exactly as `metric_index.json` would hold it.
-    pub(crate) doc: SpecMetricDoc,
-}
-
 /// One node-lifecycle event of an in-flight streamed run.  Streams are
 /// WAL-only state: they have no manifest document, so a fold re-appends the
 /// live records of every still-open stream after truncating the log.
@@ -152,8 +142,6 @@ pub(crate) enum WalRecord {
     RunRemove(RunRemoveRecord),
     /// Kind 3.
     ClusterDelta(ClusterDeltaRecord),
-    /// Kind 4.
-    MetricDelta(MetricDeltaRecord),
     /// Kind 5.
     StreamEvent(StreamEventRecord),
 }
@@ -198,7 +186,6 @@ fn encode_one(
         WalRecord::RunInsert(r) => (KIND_RUN_INSERT, serde_json::to_string(r)),
         WalRecord::RunRemove(r) => (KIND_RUN_REMOVE, serde_json::to_string(r)),
         WalRecord::ClusterDelta(r) => (KIND_CLUSTER_DELTA, serde_json::to_string(r)),
-        WalRecord::MetricDelta(r) => (KIND_METRIC_DELTA, serde_json::to_string(r)),
         WalRecord::StreamEvent(r) => (KIND_STREAM_EVENT, serde_json::to_string(r)),
     };
     let payload = payload
@@ -211,13 +198,18 @@ fn encode_one(
             what: format!("a {len}-byte record exceeds the {max_record_bytes}-byte WAL bound"),
         });
     }
-    let mut body = Vec::with_capacity(len);
+    frame_into(kind, &payload, out);
+    Ok(())
+}
+
+/// Frames one record, `[len][crc32][kind][payload]`, onto `out`.
+pub(crate) fn frame_into(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
+    let mut body = Vec::with_capacity(1 + payload.len());
     body.push(kind);
-    body.extend_from_slice(&payload);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
+    body.extend_from_slice(payload);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
-    Ok(())
 }
 
 /// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
@@ -300,12 +292,16 @@ pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
         if crc32(body) != crc {
             break;
         }
+        if body[0] == KIND_RETIRED_METRIC_DELTA {
+            // A complete frame of a retired kind: skip it, never a torn tail.
+            offset = body_end;
+            continue;
+        }
         let Ok(payload) = std::str::from_utf8(&body[1..]) else { break };
         let record = match body[0] {
             KIND_RUN_INSERT => serde_json::from_str(payload).map(WalRecord::RunInsert),
             KIND_RUN_REMOVE => serde_json::from_str(payload).map(WalRecord::RunRemove),
             KIND_CLUSTER_DELTA => serde_json::from_str(payload).map(WalRecord::ClusterDelta),
-            KIND_METRIC_DELTA => serde_json::from_str(payload).map(WalRecord::MetricDelta),
             KIND_STREAM_EVENT => serde_json::from_str(payload).map(WalRecord::StreamEvent),
             _ => break,
         };
@@ -386,8 +382,6 @@ pub struct WalSummary {
     pub run_removes: usize,
     /// Cluster-delta records (kind 3).
     pub cluster_deltas: usize,
-    /// Metric-index-delta records (kind 4).
-    pub metric_deltas: usize,
     /// Stream-event records (kind 5), closure markers included.
     pub stream_events: usize,
     /// Bytes of valid records.
@@ -412,7 +406,6 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
             WalRecord::RunInsert(_) => summary.run_inserts += 1,
             WalRecord::RunRemove(_) => summary.run_removes += 1,
             WalRecord::ClusterDelta(_) => summary.cluster_deltas += 1,
-            WalRecord::MetricDelta(_) => summary.metric_deltas += 1,
             WalRecord::StreamEvent(_) => summary.stream_events += 1,
         }
     }
@@ -492,6 +485,31 @@ mod tests {
         assert_eq!(summary.run_removes, 1);
         assert_eq!(summary.cluster_deltas, 0);
         assert_eq!(summary.torn_bytes, 0);
+    }
+
+    #[test]
+    fn a_retired_metric_delta_frame_is_stepped_over() {
+        let dir = TempDir::new("retired");
+        append(&RealIo, dir.path(), &[insert_record("r1")]).unwrap();
+        // Kind 4, as older versions wrote it between two run inserts.
+        let mut retired = Vec::new();
+        frame_into(4, br#"{"cost_key":1,"doc":{"spec":"fig2","members":[]}}"#, &mut retired);
+        RealIo.append_file(&wal_path(dir.path()), &retired).unwrap();
+        append(&RealIo, dir.path(), &[insert_record("r2")]).unwrap();
+        let scan = scan(dir.path()).unwrap();
+        assert_eq!(scan.valid_len, scan.total_len, "the retired frame is no torn tail");
+        let names: Vec<&str> = scan
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::RunInsert(r) => Some(r.name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, ["r1", "r2"]);
+        assert_eq!(scan.records.len(), 2);
+        let summary = inspect(dir.path()).unwrap();
+        assert_eq!((summary.records, summary.run_inserts, summary.torn_bytes), (2, 2, 0));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Integration tests for the vantage-point metric index behind pruned
 //! `GET /similar`: across random stores, streamed insertions and removals,
 //! the pruned top-k must equal the exact O(n) sweep bit for bit (same
-//! distances, same tie-break ordering), and the persisted checkpoint must
-//! validate-or-rebuild exactly like the cluster cache.
+//! distances, same tie-break ordering), and a restarted service, which
+//! holds no tree until its first pruned query, must answer exactly as the
+//! live one did.
 
 use pdiffview::pdiffview::{DiffService, PairDistance, WorkflowStore};
 use pdiffview::workloads::generator::{random_specification, SpecGenConfig};
@@ -119,75 +120,42 @@ impl Drop for TempDir {
 }
 
 #[test]
-fn metric_checkpoints_reload_when_valid_and_rebuild_when_stale() {
-    let (spec, named) = random_workload(0x4E57, 14);
-    let dir = TempDir::new("checkpoint");
-    store_with(&spec, &named).save_to_dir(dir.path()).unwrap();
+fn a_restarted_service_rebuilds_the_tree_and_answers_as_before() {
+    let (spec, named) = random_workload(0x4E57, 17);
+    let dir = TempDir::new("restart");
+    let (boot, streamed) = named.split_at(14);
+    store_with(&spec, boot).save_to_dir(dir.path()).unwrap();
 
-    // Serve path: load the directory, answer one pruned query (builds the
-    // tree), checkpoint it as a WAL delta.
-    let loaded = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
-    let service = DiffService::new(Arc::clone(&loaded));
-    let (answer, _) = service.nearest_runs_pruned("metric", "run000", 5, 0.0).unwrap();
-    assert_eq!(service.save_metric_state(dir.path()).unwrap(), 1);
-    let after_save = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!(after_save.metric_deltas, 1);
-    // A clean index appends nothing on the next checkpoint.
-    service.save_metric_state(dir.path()).unwrap();
-    let after_clean = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!(after_clean.bytes, after_save.bytes, "a clean index appends nothing");
+    // Serve path: load the directory, build the tree with one pruned
+    // query, then stream three durable inserts through the notification
+    // path, so the live tree is shaped by its history, not by a build.
+    let live_store = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
+    let live = DiffService::new(Arc::clone(&live_store));
+    live.nearest_runs_pruned("metric", "run000", 5, 0.0).unwrap();
+    for (name, run) in streamed {
+        let run = live_store.insert_run(name, run.clone()).unwrap();
+        live_store.append_run_to_dir(dir.path(), name, &run).unwrap();
+        live.notify_run_inserted("metric", name);
+    }
+    assert_eq!(live.metric_index().member_count("metric"), 17);
+    live_store.save_to_dir(dir.path()).unwrap();
 
-    // Restart: a fresh load resumes the exact tree and serves the same
-    // answer without a rebuild.
+    // Restart: the fresh service holds no tree; the first pruned query
+    // builds one, and every answer, first or later, equals both the exact
+    // sweep and what the live service answered before the restart.
     let restarted = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = restarted.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (1, 0));
-    assert_eq!(restarted.metric_index().member_count("metric"), 14);
-    let (resumed, _) = restarted.nearest_runs_pruned("metric", "run000", 5, 0.0).unwrap();
-    assert_eq!(resumed, answer);
-
-    // A cost-model mismatch rejects the checkpoint wholesale.
-    let other_cost =
-        DiffService::builder(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()))
-            .cost(Arc::new(wfdiff_core::LengthCost))
-            .build();
-    let report = other_cost.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    assert_eq!(other_cost.metric_index().member_count("metric"), 0);
-
-    // A store that gained a run after the checkpoint: the member set no
-    // longer matches, the entry is stale, and the next query rebuilds —
-    // still equal to the exact sweep over the grown store.
-    let grown = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
-    let spec_arc = grown.spec("metric").unwrap();
-    let extra = spec_arc.execute(&mut wfdiff_sptree::FullDecider).unwrap();
-    grown.insert_run("zz-extra", extra).unwrap();
-    let grown_service = DiffService::new(Arc::clone(&grown));
-    let report = grown_service.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    let exact = grown_service.nearest_runs("metric", "zz-extra", 4).unwrap();
-    let (pruned, _) = grown_service.nearest_runs_pruned("metric", "zz-extra", 4, 0.0).unwrap();
-    assert_eq!(exact, pruned);
-
-    // A full save folds the pending delta into `metric_index.json` and
-    // truncates the log; the folded file alone restores the state.
-    loaded.save_to_dir(dir.path()).unwrap();
-    let artifact = dir.path().join(pdiffview::pdiffview::METRIC_INDEX_FILE);
-    assert!(artifact.exists(), "the fold materialised the checkpoint file");
-    assert_eq!(pdiffview::pdiffview::wal::inspect(dir.path()).unwrap().records, 0);
-    let folded = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = folded.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (1, 0));
-
-    // A corrupt checkpoint is reported stale and ignored, never an error.
-    std::fs::write(&artifact, "{not json").unwrap();
-    let fresh = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = fresh.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    // A missing checkpoint is simply an empty report.
-    std::fs::remove_file(&artifact).unwrap();
-    let report = fresh.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 0));
+    assert_eq!(restarted.metric_index().member_count("metric"), 0);
+    for (query, _) in &named {
+        let exact = restarted.nearest_runs("metric", query, 5).unwrap();
+        let (before, _) = live.nearest_runs_pruned("metric", query, 5, 0.0).unwrap();
+        for pass in ["first", "later"] {
+            let (pruned, _) = restarted.nearest_runs_pruned("metric", query, 5, 0.0).unwrap();
+            assert_lists_equal(&exact, &pruned, &format!("{pass} query {query} vs exact"));
+            assert_lists_equal(&before, &pruned, &format!("{pass} query {query} vs live"));
+        }
+    }
+    assert_eq!(restarted.metric_index().member_count("metric"), 17);
+    assert!(!dir.path().join("metric_index.json").exists(), "the tree is never written");
 }
 
 #[test]
